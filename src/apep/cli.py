@@ -16,7 +16,6 @@ import io
 import json
 import random
 import sys
-import time
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
@@ -34,18 +33,9 @@ from .model import (
     default_user_names,
     indices_of,
 )
-from .oracle import DEFAULT_BUDGET, CapacityError, brute_decide, brute_maximize
+from .oracle import DEFAULT_BUDGET, CapacityError
 from .reduce import TriviallyUnsat, apply_reduction_rule, eliminate_bod_u
-from .solve import (
-    SolveReport,
-    dispatch,
-    max_sod_e,
-    max_sod_u,
-    solve_bod_e,
-    solve_bod_e_sod_u,
-    solve_bod_u,
-    solve_bounded,
-)
+from .solve import MODES, ROUTES, SolveReport, dispatch
 from .verify import check_valid, instance_bound
 
 INSTANCE_FORMAT = "apep-instance"
@@ -135,7 +125,8 @@ def _resource_refs(value, rindex: dict[str, int], where: str) -> frozenset[int]:
 def _parse_constraint(rec, rindex: dict[str, int], where: str, strict: bool) -> Constraint:
     _require(isinstance(rec, dict), where, "expected an object")
     ctype = rec.get("type")
-    _require(ctype in CONSTRAINT_FIELDS, where, f"unknown type {ctype!r}")
+    _require(isinstance(ctype, str) and ctype in CONSTRAINT_FIELDS, where,
+             f"unknown type {ctype!r}")
     if strict:
         unknown = sorted(set(rec) - CONSTRAINT_FIELDS[ctype])
         _require(not unknown, where, f"unknown fields {unknown}")
@@ -148,15 +139,14 @@ def _parse_constraint(rec, rindex: dict[str, int], where: str, strict: bool) -> 
             return PairConstraint(
                 rindex[rec["r"]], rindex[rec["r2"]], rec.get("op"), rec.get("quant")
             )
-        if ctype == "global_card":
-            _require(isinstance(rec.get("t"), int), f"{where}.t", "expected an integer")
-            return GlobalCardConstraint(rec.get("cmp"), rec["t"])
-        if ctype == "local_card":
-            _require(isinstance(rec.get("t"), int), f"{where}.t", "expected an integer")
+        if ctype in ("global_card", "local_card"):
+            t = rec.get("t")
+            _require(isinstance(t, int) and not isinstance(t, bool), f"{where}.t",
+                     "expected an integer")
+            if ctype == "global_card":
+                return GlobalCardConstraint(rec.get("cmp"), t)
             return LocalCardConstraint(
-                _resource_refs(rec.get("scope"), rindex, f"{where}.scope"),
-                rec.get("cmp"),
-                rec["t"],
+                _resource_refs(rec.get("scope"), rindex, f"{where}.scope"), rec.get("cmp"), t
             )
         if ctype == "smer":
             return SmerConstraint(_resource_refs(rec.get("scope"), rindex, f"{where}.scope"))
@@ -438,49 +428,17 @@ def _draw_team_sod(rng: random.Random, params: GenParams) -> list[Constraint]:
 # Command implementations
 # ---------------------------------------------------------------------------
 
-_ALGOS = ("auto", "brute", "bounded", "bodu", "bode", "sodu", "sode", "wsp")
+_ROUTE_OF = {route.algo: route for route in ROUTES}
+_ALGOS = ("auto", *_ROUTE_OF)
 
 
 def _run_algo(inst: Instance, algo: str, mode: str, budget: int) -> SolveReport:
     if algo == "auto":
         return dispatch(inst, mode)
-    if algo == "brute":
-        t0 = time.perf_counter()
-        if mode == "decide":
-            found = brute_decide(inst, budget=budget)
-            return SolveReport(
-                algorithm="brute_force",
-                satisfiable=found is not None,
-                witness=found,
-                wall_time=time.perf_counter() - t0,
-            )
-        res = brute_maximize(inst, budget=budget)
-        return SolveReport(
-            algorithm="brute_force",
-            satisfiable=res is not None,
-            witness=None if res is None else res[0],
-            max_size=None if res is None else res[1],
-            wall_time=time.perf_counter() - t0,
-        )
-    if algo == "bounded":
-        if mode != "decide":
-            raise _UsageError("the bounded route answers decision questions only")
-        return solve_bounded(inst)
-    if algo == "wsp":
-        if mode != "decide":
-            raise _UsageError("the wsp route answers decision questions only")
-        return solve_bod_e_sod_u(inst)
-    route = {
-        "bodu": solve_bod_u,
-        "bode": solve_bod_e,
-        "sodu": max_sod_u,
-        "sode": max_sod_e,
-    }[algo]
-    return route(inst)
-
-
-class _UsageError(Exception):
-    pass
+    route = _ROUTE_OF[algo]
+    if mode not in route.modes:
+        raise ValueError(f"the {algo} route answers mode {'/'.join(route.modes)} only")
+    return route(inst, mode, budget) if algo == "brute" else route(inst)
 
 
 def _report_json(inst: Instance, report: SolveReport, mode: str) -> str:
@@ -500,15 +458,7 @@ def _report_json(inst: Instance, report: SolveReport, mode: str) -> str:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.infile, strict=args.strict)
-    try:
-        report = _run_algo(inst, args.algo, args.mode, args.budget)
-    except _UsageError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-
+    report = _run_algo(inst, args.algo, args.mode, args.budget)
     if args.json:
         sys.stdout.write(_report_json(inst, report, args.mode))
     else:
@@ -632,14 +582,14 @@ def _cmd_bench(args) -> int:
         algo = run.get("algo", "auto")
         mode = run.get("mode", "decide")
         _require(algo in _ALGOS, f"runs[{i}].algo", f"expected one of {_ALGOS}")
-        _require(mode in ("decide", "max"), f"runs[{i}].mode", "expected decide or max")
+        _require(mode in MODES, f"runs[{i}].mode", "expected decide or max")
         inst = load_instance(str(base_dir / rel_path))
         row = {"instance": rel_path, "algo": algo, "mode": mode}
         try:
             report = _run_algo(inst, algo, mode, DEFAULT_BUDGET)
         except CapacityError:
             row["decision"] = "capacity"
-        except _UsageError as e:
+        except ValueError as e:
             raise ParseError(f"runs[{i}]: {e}") from None
         else:
             row["decision"] = "sat" if report.satisfiable else "unsat"
@@ -679,7 +629,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve = sub.add_parser("solve", help="decide or maximize an instance")
     add_common_in(p_solve)
     p_solve.add_argument("--algo", choices=_ALGOS, default="auto")
-    p_solve.add_argument("--mode", choices=("decide", "max"), default="decide")
+    p_solve.add_argument("--mode", choices=MODES, default="decide")
     p_solve.add_argument("--out", metavar="FILE", help="write the witness relation here")
     p_solve.add_argument("--json", action="store_true", help="machine readable report")
     p_solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET,

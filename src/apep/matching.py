@@ -3,42 +3,14 @@
 The core routine saturates the left side of a rectangular integer weight
 matrix (rows <= cols) using the standard shortest-augmenting-path scheme
 with potentials, O(rows^2 * cols) time.  Weights may be negative; ``None``
-marks a forbidden edge.  The square wrapper answers the perfect matching
-question directly.
+marks a forbidden edge.  A square matrix asks for a perfect matching.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 _INF = 1 << 62
-
-
-@dataclass(frozen=True)
-class WeightedBipartite:
-    """Square weight matrix, row-major; ``None`` entries are forbidden."""
-
-    weights: tuple[tuple[int | None, ...], ...]
-
-    def __post_init__(self) -> None:
-        n = len(self.weights)
-        if any(len(row) != n for row in self.weights):
-            raise ValueError("weight matrix must be square")
-
-
-def max_weight_perfect_matching(
-    graph: WeightedBipartite,
-) -> tuple[tuple[int, ...], int] | None:
-    """Max weight perfect matching of a square graph.
-
-    Returns (assignment, total) where assignment[i] is the column matched to
-    row i, or None when no perfect matching over allowed edges exists.
-    """
-    n = len(graph.weights)
-    if n == 0:
-        return (), 0
-    return max_weight_row_saturating(graph.weights)
 
 
 def max_weight_row_saturating(

@@ -25,15 +25,6 @@ CMPS = ("<", "<=", "=", ">=", ">")
 CANONICAL_CMPS = ("<=", "=", ">=")
 
 
-def _mask_from_indices(indices: Iterable[int]) -> int:
-    mask = 0
-    for i in indices:
-        if i < 0:
-            raise ValueError(f"negative index {i}")
-        mask |= 1 << i
-    return mask
-
-
 def indices_of(mask: int) -> tuple[int, ...]:
     """Indices of the set bits of ``mask``, ascending."""
     out = []
@@ -533,10 +524,15 @@ class Instance:
         for uname, rnames in mapping.items():
             if uname not in self.user_index:
                 raise ValueError(f"unknown user {uname!r}")
-            for rname in rnames:
-                if rname not in self.resource_index:
-                    raise ValueError(f"unknown resource {rname!r}")
-                rows[self.user_index[uname]] |= 1 << self.resource_index[rname]
+            try:
+                for rname in rnames:
+                    if rname not in self.resource_index:
+                        raise ValueError(f"unknown resource {rname!r}")
+                    rows[self.user_index[uname]] |= 1 << self.resource_index[rname]
+            except TypeError:
+                raise ValueError(
+                    f"user {uname!r}: expected a list of resource names"
+                ) from None
         return AuthorizationRelation(self.n, self.k, tuple(rows))
 
     def relation_to_names(self, A: AuthorizationRelation) -> dict[str, list[str]]:

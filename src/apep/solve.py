@@ -7,22 +7,26 @@ report.  The exponential parts are parameterized by the resource count k
 
 from __future__ import annotations
 
+import functools
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import combinations, islice
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .matching import max_weight_row_saturating
 from .model import (
     AuthorizationRelation,
     Instance,
     PairConstraint,
+    eval_constraint,
     indices_of,
+    iter_submasks,
 )
-from .oracle import DEFAULT_BUDGET, CapacityError, brute_maximize
+from .oracle import DEFAULT_BUDGET, CapacityError, brute_decide, brute_maximize
 from .reduce import (
     TriviallyUnsat,
     WspInstance,
+    _DisjointSet,
     apply_reduction_rule,
     eliminate_bod_u,
     from_wsp_plan,
@@ -30,10 +34,10 @@ from .reduce import (
     lift_removed_users,
     to_wsp,
 )
-from .oracle import brute_decide
 from .verify import check_valid, instance_bound
 
 MAX_PATTERN_RESOURCES = 16
+MODES = ("decide", "max")
 
 
 @dataclass(frozen=True)
@@ -51,6 +55,71 @@ class SolveReport:
     max_size: int | None = None
     counters: dict = field(default_factory=dict)
     wall_time: float = 0.0
+
+
+def _verify_witness(
+    inst: Instance, witness: AuthorizationRelation | None, size: int | None, source: str
+) -> None:
+    """The one check every returned witness passes.
+
+    The witness must be a valid relation of the instance and, when a size
+    is reported, have that many pairs.  Raises ``AssertionError`` itself
+    rather than through ``assert``, so the check also runs under
+    ``python -O``.
+    """
+    if witness is None or not check_valid(inst, witness).valid:
+        raise AssertionError(f"{source} returned an invalid witness")
+    if size is not None and witness.size != size:
+        raise AssertionError(
+            f"{source} reported size {size} for a witness of size {witness.size}"
+        )
+
+
+class Route:
+    """One row of the route table, callable as the solver it names.
+
+    ``algo`` is the name ``apep solve --algo`` selects the route by,
+    ``kinds`` the constraint kinds it accepts (None accepts any mix) and
+    ``modes`` the solve modes it answers.  A call rejects instances with
+    other kinds, times the solver into ``wall_time`` and verifies a sat
+    witness once before returning the report.
+    """
+
+    def __init__(
+        self,
+        algo: str,
+        kinds: Iterable[str] | None,
+        modes: tuple[str, ...],
+        fn: Callable[..., SolveReport],
+    ):
+        self.algo = algo
+        self.kinds = None if kinds is None else frozenset(kinds)
+        self.modes = modes
+        self.fn = fn
+        functools.update_wrapper(self, fn)
+
+    def accepts(self, kinds: frozenset[str], mode: str) -> bool:
+        return mode in self.modes and (self.kinds is None or kinds <= self.kinds)
+
+    def __call__(self, inst: Instance, *args, **kwargs) -> SolveReport:
+        if self.kinds is not None:
+            kinds = inst.constraint_kinds()
+            if not kinds <= self.kinds:
+                raise ValueError(
+                    f"the {self.algo} route takes only {'/'.join(sorted(self.kinds))} "
+                    f"constraints, got {sorted(kinds)}"
+                )
+        t0 = time.perf_counter()
+        report = self.fn(inst, *args, **kwargs)
+        if report.satisfiable:
+            _verify_witness(inst, report.witness, report.max_size, report.algorithm)
+        return replace(report, wall_time=time.perf_counter() - t0)
+
+
+def _route(
+    algo: str, kinds: Iterable[str] | None, modes: tuple[str, ...] = MODES
+) -> Callable[[Callable[..., SolveReport]], Route]:
+    return lambda fn: Route(algo, kinds, modes, fn)
 
 
 # ---------------------------------------------------------------------------
@@ -135,6 +204,20 @@ def enumerate_eligible_patterns(
     yield from rec(0)
 
 
+def _independent_sets(k: int, pairs: Iterable[tuple[int, int]]) -> list[bool]:
+    """``indep[x]`` is True when no pair lies inside the resource mask x."""
+    conf = [0] * k
+    for a, b in pairs:
+        conf[a] |= 1 << b
+        conf[b] |= 1 << a
+    indep = [True] * (1 << k)
+    for x in range(1, 1 << k):
+        low = x & -x
+        rest = x ^ low
+        indep[x] = indep[rest] and not conf[low.bit_length() - 1] & rest
+    return indep
+
+
 def _conflict_pairs(inst: Instance) -> list[tuple[int, int]]:
     pairs = []
     for c in inst.constraints:
@@ -162,18 +245,7 @@ class _PatternContext:
             )
         self.inst = inst
         self.k = inst.k
-        size = 1 << inst.k
-        conf = [0] * inst.k
-        for a, b in _conflict_pairs(inst):
-            conf[a] |= 1 << b
-            conf[b] |= 1 << a
-        indep = [True] * size
-        for x in range(1, size):
-            low = x & -x
-            r = low.bit_length() - 1
-            rest = x ^ low
-            indep[x] = indep[rest] and not conf[r] & rest
-        self._indep = indep
+        self._indep = _independent_sets(inst.k, _conflict_pairs(inst))
 
         profile_users: dict[int, list[int]] = {}
         for u, row in enumerate(inst.base.rows):
@@ -241,10 +313,7 @@ class _PatternContext:
         for i, c in enumerate(assignment):
             u, m = self.pool[c]
             rows[u] = self.tables_for(m)[1][pattern.blocks[i]]
-        rel = AuthorizationRelation(inst.n, inst.k, tuple(rows))
-        value = base_total + gain
-        assert check_valid(inst, rel).valid and rel.size == value
-        return rel, value
+        return AuthorizationRelation(inst.n, inst.k, tuple(rows)), base_total + gain
 
 
 def pattern_value(
@@ -268,9 +337,13 @@ def pattern_value(
                 raise ValueError(
                     f"pattern is not eligible: separated pair ({a}, {b}) shares a block"
                 )
-    return _PatternContext(inst).evaluate(pattern)
+    res = _PatternContext(inst).evaluate(pattern)
+    if res is not None:
+        _verify_witness(inst, *res, "pattern valuation")
+    return res
 
 
+@_route("sodu", {"sod_u"})
 def max_sod_u(inst: Instance) -> SolveReport:
     """Maximize for instances with only universal-xor constraints.
 
@@ -278,10 +351,6 @@ def max_sod_u(inst: Instance) -> SolveReport:
     relation refines some eligible pattern, so the best pattern value is the
     maximum solution size.
     """
-    t0 = time.perf_counter()
-    kinds = inst.constraint_kinds()
-    if not kinds <= {"sod_u"}:
-        raise ValueError(f"this route needs universal-xor only, got {sorted(kinds)}")
     ctx = _PatternContext(inst)
     best: tuple[AuthorizationRelation, int] | None = None
     explored = 0
@@ -296,7 +365,6 @@ def max_sod_u(inst: Instance) -> SolveReport:
         witness=None if best is None else best[0],
         max_size=None if best is None else best[1],
         counters={"patterns_explored": explored},
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -349,14 +417,13 @@ def build_index_family(inst: Instance) -> IndexFamily:
         col = inst.base.cols[r]
         users = indices_of(col)
         if len(users) <= threshold:
-            cand = sorted(
-                (sub for sub in _nonempty_submasks(col)), key=_user_mask_sort_key
-            )
+            cand = sorted((sub for sub in iter_submasks(col) if sub), key=_user_mask_sort_key)
         else:
+            bits = [1 << u for u in users]
             gen = (
-                _mask_of(combo)
-                for size in range(len(users), 0, -1)
-                for combo in combinations(users, size)
+                sum(combo)
+                for size in range(len(bits), 0, -1)
+                for combo in combinations(bits, size)
             )
             cand = list(islice(gen, len(partners[r]) + 1))
         by_resource.append(tuple(cand))
@@ -370,20 +437,6 @@ def build_index_family(inst: Instance) -> IndexFamily:
                 mask |= 1 << r
         fit.append(mask)
     return IndexFamily(tuple(members), tuple(fit), tuple(by_resource))
-
-
-def _mask_of(indices: Sequence[int]) -> int:
-    mask = 0
-    for i in indices:
-        mask |= 1 << i
-    return mask
-
-
-def _nonempty_submasks(mask: int) -> Iterator[int]:
-    sub = 0
-    while sub != mask:
-        sub = (sub - mask) & mask
-        yield sub
 
 
 def max_weighted_partition(
@@ -504,6 +557,7 @@ def max_weighted_partition_fast_value(
     return top_digit - p * m
 
 
+@_route("sode", {"sod_e"})
 def max_sod_e(inst: Instance) -> SolveReport:
     """Maximize for instances with only existential-xor constraints.
 
@@ -512,29 +566,13 @@ def max_sod_e(inst: Instance) -> SolveReport:
     the users X.  Infeasible combinations score an impossible penalty, so
     the optimum is at least 1 exactly when the instance is satisfiable.
     """
-    t0 = time.perf_counter()
-    kinds = inst.constraint_kinds()
-    if not kinds <= {"sod_e"}:
-        raise ValueError(f"this route needs existential-xor only, got {sorted(kinds)}")
     if inst.k > MAX_PATTERN_RESOURCES:
         raise CapacityError(
             f"subset DP supports up to {MAX_PATTERN_RESOURCES} resources"
         )
 
     k = inst.k
-    size = 1 << k
-    conf = [0] * k
-    for c in inst.constraints:
-        assert isinstance(c, PairConstraint)
-        conf[c.r] |= 1 << c.r2
-        conf[c.r2] |= 1 << c.r
-    indep = [True] * size
-    for x in range(1, size):
-        low = x & -x
-        r = low.bit_length() - 1
-        rest = x ^ low
-        indep[x] = indep[rest] and not conf[r] & rest
-
+    indep = _independent_sets(k, [(c.r, c.r2) for c in inst.constraints])
     fam = build_index_family(inst)
     penalty = -(inst.base.size + 1)
 
@@ -561,15 +599,13 @@ def max_sod_e(inst: Instance) -> SolveReport:
             for r in indices_of(block):
                 cols[r] = x
         witness = AuthorizationRelation.from_cols(inst.n, k, cols)
-        assert check_valid(inst, witness).valid and witness.size == value
 
     return SolveReport(
         algorithm="sod_e_partition",
         satisfiable=satisfiable,
         witness=witness,
         max_size=value if satisfiable else None,
-        counters={"dp_states": len(functions) * size},
-        wall_time=time.perf_counter() - t0,
+        counters={"dp_states": len(functions) << k},
     )
 
 
@@ -578,6 +614,7 @@ def max_sod_e(inst: Instance) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
+@_route("bodu", {"bod_u"})
 def solve_bod_u(inst: Instance) -> SolveReport:
     """Instances whose constraints are all universal-iff (or none).
 
@@ -585,47 +622,36 @@ def solve_bod_u(inst: Instance) -> SolveReport:
     every class keeps a common permitted user, and the expanded class
     intersections form the largest solution.
     """
-    t0 = time.perf_counter()
-    kinds = inst.constraint_kinds()
-    if not kinds <= {"bod_u"}:
-        raise ValueError(f"this route needs universal-iff only, got {sorted(kinds)}")
     res = eliminate_bod_u(inst)
     if isinstance(res, TriviallyUnsat):
         return SolveReport(
             algorithm="bod_u_merge",
             satisfiable=False,
             counters={"reason": res.reason},
-            wall_time=time.perf_counter() - t0,
         )
     merged, trace = res
     witness = lift_merged_classes(inst, trace, merged.base)
-    assert check_valid(inst, witness).valid
     return SolveReport(
         algorithm="bod_u_merge",
         satisfiable=True,
         witness=witness,
         max_size=witness.size,
-        wall_time=time.perf_counter() - t0,
     )
 
 
+@_route("bode", {"bod_e"})
 def solve_bod_e(inst: Instance) -> SolveReport:
     """Instances whose constraints are all existential-iff.
 
     Shared users only become easier to find as the relation grows, so the
     base relation itself is the decisive candidate and the maximum.
     """
-    t0 = time.perf_counter()
-    kinds = inst.constraint_kinds()
-    if not kinds <= {"bod_e"}:
-        raise ValueError(f"this route needs existential-iff only, got {sorted(kinds)}")
-    verdict = check_valid(inst, inst.base)
+    valid = all(eval_constraint(inst.base, c) for c in inst.constraints)
     return SolveReport(
         algorithm="bod_e_base",
-        satisfiable=verdict.valid,
-        witness=inst.base if verdict.valid else None,
-        max_size=inst.base.size if verdict.valid else None,
-        wall_time=time.perf_counter() - t0,
+        satisfiable=valid,
+        witness=inst.base if valid else None,
+        max_size=inst.base.size if valid else None,
     )
 
 
@@ -634,6 +660,7 @@ def solve_bod_e(inst: Instance) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
+@_route("bounded", None, ("decide",))
 def solve_bounded(inst: Instance, kernel_budget: int = 1 << 60) -> SolveReport:
     """Decision route for any mix of the modeled constraint species.
 
@@ -642,7 +669,6 @@ def solve_bounded(inst: Instance, kernel_budget: int = 1 << 60) -> SolveReport:
     the kernel exhaustively.  The kernel has at most 2^k * f users, so the
     search is independent of the original user count.
     """
-    t0 = time.perf_counter()
     work = inst
     merge_trace = None
     if all(isinstance(c, PairConstraint) for c in inst.constraints):
@@ -652,7 +678,6 @@ def solve_bounded(inst: Instance, kernel_budget: int = 1 << 60) -> SolveReport:
                 algorithm="bounded_kernel",
                 satisfiable=False,
                 counters={"users_removed": 0, "reason": res.reason},
-                wall_time=time.perf_counter() - t0,
             )
         work, merge_trace = res
 
@@ -665,18 +690,15 @@ def solve_bounded(inst: Instance, kernel_budget: int = 1 << 60) -> SolveReport:
             algorithm="bounded_kernel",
             satisfiable=False,
             counters={"users_removed": removed},
-            wall_time=time.perf_counter() - t0,
         )
     witness = lift_removed_users(work, kernel, found)
     if merge_trace is not None:
         witness = lift_merged_classes(inst, merge_trace, witness)
-    assert check_valid(inst, witness).valid
     return SolveReport(
         algorithm="bounded_kernel",
         satisfiable=True,
         witness=witness,
         counters={"users_removed": removed},
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -696,18 +718,10 @@ def solve_wsp(
     each authorized for every step inside their block.
     """
     n_steps = wsp.n_steps
-    parent = list(range(n_steps))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    dsu = _DisjointSet(n_steps)
     for a, b in wsp.eq_pairs:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
+        dsu.union(a, b)
+    find = dsu.find
 
     roots = sorted({find(s) for s in range(n_steps)})
     class_index = {root: i for i, root in enumerate(roots)}
@@ -767,13 +781,13 @@ def solve_wsp(
     return None
 
 
+@_route("wsp", {"bod_e", "sod_u"}, ("decide",))
 def solve_bod_e_sod_u(inst: Instance) -> SolveReport:
     """Decision route for existential-iff plus universal-xor mixes.
 
     Rewrites the instance to the step planning form, then maps a solved
     plan back to a relation.
     """
-    t0 = time.perf_counter()
     wsp = to_wsp(inst)
     stats: dict = {}
     plan = solve_wsp(wsp, stats)
@@ -786,7 +800,6 @@ def solve_bod_e_sod_u(inst: Instance) -> SolveReport:
             "steps": wsp.n_steps,
             "patterns_explored": stats.get("patterns_explored", 0),
         },
-        wall_time=time.perf_counter() - t0,
     )
 
 
@@ -795,21 +808,31 @@ def solve_bod_e_sod_u(inst: Instance) -> SolveReport:
 # ---------------------------------------------------------------------------
 
 
-def _brute_report(inst: Instance, t0: float) -> SolveReport:
-    try:
-        res = brute_maximize(inst, budget=DEFAULT_BUDGET)
-    except CapacityError as e:
-        raise CapacityError(
-            f"{e}; maximization over this constraint mix has no reduced route, "
-            "try mode=decide"
-        ) from None
+@_route("brute", None)
+def _brute_force(inst: Instance, mode: str, budget: int = DEFAULT_BUDGET) -> SolveReport:
+    """The exhaustive reference search, for any mix and either mode."""
+    if mode == "decide":
+        found = brute_decide(inst, budget=budget)
+        return SolveReport(algorithm="brute_force", satisfiable=found is not None, witness=found)
+    witness, size = brute_maximize(inst, budget=budget) or (None, None)
     return SolveReport(
-        algorithm="brute_force",
-        satisfiable=res is not None,
-        witness=None if res is None else res[0],
-        max_size=None if res is None else res[1],
-        wall_time=time.perf_counter() - t0,
+        algorithm="brute_force", satisfiable=witness is not None, witness=witness, max_size=size
     )
+
+
+# The route table.  ``dispatch`` takes the first row that accepts the
+# instance's constraint kinds and the mode, so the specialised routes come
+# before the catch-all ones, and universal-iff comes first so that instances
+# without constraints take the merge route.
+ROUTES: tuple[Route, ...] = (
+    solve_bod_u,
+    solve_bod_e,
+    max_sod_u,
+    max_sod_e,
+    solve_bod_e_sod_u,
+    solve_bounded,
+    _brute_force,
+)
 
 
 def dispatch(inst: Instance, mode: str = "decide") -> SolveReport:
@@ -819,22 +842,16 @@ def dispatch(inst: Instance, mode: str = "decide") -> SolveReport:
     route; maximization falls back to exhaustive search when no specialized
     route applies, guarded by the search budget.
     """
-    if mode not in ("decide", "max"):
+    if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
-    t0 = time.perf_counter()
     kinds = inst.constraint_kinds()
-    if kinds <= {"bod_u"}:
-        return solve_bod_u(inst)
-    if kinds == {"bod_e"}:
-        return solve_bod_e(inst)
-    if kinds == {"sod_u"}:
-        return max_sod_u(inst)
-    if kinds == {"sod_e"}:
-        return max_sod_e(inst)
-    if kinds <= {"bod_e", "sod_u"}:
-        if mode == "decide":
-            return solve_bod_e_sod_u(inst)
-        return _brute_report(inst, t0)
-    if mode == "decide":
-        return solve_bounded(inst)
-    return _brute_report(inst, t0)
+    route = next(r for r in ROUTES if r.accepts(kinds, mode))
+    if route is not _brute_force:
+        return route(inst)
+    try:
+        return route(inst, mode)
+    except CapacityError as e:
+        raise CapacityError(
+            f"{e}; maximization over this constraint mix has no reduced route, "
+            "try mode=decide"
+        ) from None

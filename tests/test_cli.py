@@ -9,6 +9,7 @@ import pytest
 from apep import (
     Instance,
     PairConstraint,
+    SmerConstraint,
     check_valid,
     constraint_kind,
 )
@@ -24,6 +25,7 @@ from apep.cli import (
     serialize_instance,
     serialize_relation,
 )
+from apep.solve import ROUTES
 from helpers import FIXTURES, make
 
 FIXTURE_NAMES = (
@@ -90,6 +92,14 @@ def test_parse_instance_all_constraint_types():
         (lambda d: d["base"].update(u2=["rX"]), "rX"),
         (lambda d: d.update(constraints={}), "constraints"),
         (lambda d: d["constraints"].append({"type": "mystery"}), "unknown type"),
+        (
+            lambda d: d["constraints"].append({"type": ["pair"]}),
+            "constraints[1]: unknown type ['pair']",
+        ),
+        (
+            lambda d: d["constraints"].append({"type": "global_card", "cmp": "<=", "t": True}),
+            "constraints[1].t: expected an integer",
+        ),
         (
             lambda d: d["constraints"].append(
                 {"type": "pair", "r": "rX", "r2": "r2", "op": "iff", "quant": "forall"}
@@ -172,6 +182,9 @@ def test_parse_relation_errors():
             {"format": "apep-relation", "version": 1, "relation": {"ghost": ["r1"]}},
             inst,
         )
+    for bad in ({"u1": 5}, {"u1": [["r1"]]}):
+        with pytest.raises(ParseError, match="relation: user 'u1'"):
+            parse_relation({"format": "apep-relation", "version": 1, "relation": bad}, inst)
 
 
 def test_load_errors(tmp_path):
@@ -296,13 +309,33 @@ def test_main_solve_writes_witness(tmp_path, capsys):
 
 
 def test_main_solve_usage_errors(tmp_path, capsys):
-    path = fixture_path("separation_chain_5x4.json")
-    assert main(["solve", "--in", path, "--algo", "bounded", "--mode", "max"]) == 2
-    assert main(["solve", "--in", path, "--algo", "wsp", "--mode", "max"]) == 2
-    # wrong route for the constraint mix
-    assert main(["solve", "--in", path, "--algo", "bodu"]) == 2
-    err = capsys.readouterr().err
-    assert "error:" in err
+    chain = fixture_path("separation_chain_5x4.json")  # universal-xor only
+    mixed = write_instance(tmp_path, make([0b11, 0b11], 2, [SmerConstraint({0, 1})]))
+    refusals = [
+        # wrong route for the constraint mix
+        ("bodu", chain, "decide"),
+        ("bode", chain, "max"),
+        ("sodu", mixed, "decide"),
+        ("sode", chain, "decide"),
+        ("wsp", mixed, "decide"),
+        # decision-only routes
+        ("wsp", chain, "max"),
+        ("bounded", chain, "max"),
+    ]
+    for algo, path, mode in refusals:
+        assert main(["solve", "--in", path, "--algo", algo, "--mode", mode]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"the {algo} route" in err
+    # the exhaustive route takes every mix in both modes
+    for mode in ("decide", "max"):
+        assert main(["solve", "--in", mixed, "--algo", "brute", "--mode", mode]) == 0
+    capsys.readouterr()
+
+    # every row of the route table is covered, and --algo offers exactly its names
+    names = [route.algo for route in ROUTES]
+    assert sorted({algo for algo, _, _ in refusals} | {"brute"}) == sorted(names)
+    assert main(["solve", "--help"]) == 0
+    assert "{" + ",".join(["auto", *names]) + "}" in capsys.readouterr().out
 
 
 def test_main_solve_capacity(tmp_path, capsys):
@@ -323,6 +356,22 @@ def test_main_input_errors(tmp_path, capsys):
     assert main(["solve", "--in", str(strict), "--strict"]) == 2
     assert main(["solve", "--in", str(strict)]) in (0, 1)
     capsys.readouterr()
+
+    # wrongly typed fields exit 2 and say where, rather than raise TypeError
+    typed_doc = minimal_doc()
+    typed_doc["constraints"][0]["type"] = ["pair"]
+    typed = tmp_path / "typed.json"
+    typed.write_text(json.dumps(typed_doc), encoding="utf-8")
+    assert main(["solve", "--in", str(typed)]) == 2
+    assert "constraints[0]: unknown type ['pair']" in capsys.readouterr().err
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(minimal_doc()), encoding="utf-8")
+    rel = tmp_path / "rel.json"
+    for relation in ({"u1": 5}, {"u1": [["r1"]]}):
+        rel.write_text(json.dumps({"format": "apep-relation", "version": 1,
+                                   "relation": relation}), encoding="utf-8")
+        assert main(["verify", "--in", str(good), "--relation", str(rel)]) == 2
+        assert "relation: user 'u1'" in capsys.readouterr().err
 
 
 def test_main_argparse_paths(capsys):

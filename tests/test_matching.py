@@ -5,7 +5,6 @@ from itertools import permutations
 
 import pytest
 
-from apep import WeightedBipartite, max_weight_perfect_matching
 from apep.matching import max_weight_row_saturating
 
 
@@ -41,7 +40,6 @@ def check_assignment(weights, result):
 
 def test_empty():
     assert max_weight_row_saturating([]) == ((), 0)
-    assert max_weight_perfect_matching(WeightedBipartite(())) == ((), 0)
 
 
 def test_singleton():
@@ -51,8 +49,7 @@ def test_singleton():
 
 def test_square_hand_case():
     weights = [[3, 1], [1, 3]]
-    res = max_weight_perfect_matching(WeightedBipartite(tuple(map(tuple, weights))))
-    assert res == ((0, 1), 6)
+    assert max_weight_row_saturating(weights) == ((0, 1), 6)
 
 
 def test_rectangular_prefers_extra_columns():
@@ -81,8 +78,6 @@ def test_negative_weights_still_saturate():
 
 def test_validation():
     with pytest.raises(ValueError):
-        WeightedBipartite(((1, 2), (3,)))
-    with pytest.raises(ValueError):
         max_weight_row_saturating([[1, 2], [3]])
     with pytest.raises(ValueError):
         max_weight_row_saturating([[1], [2]])
@@ -110,7 +105,7 @@ def test_matches_brute_force_randomized():
             assert got[1] == want, weights
 
 
-def test_square_wrapper_matches_brute_force():
+def test_square_matches_brute_force():
     rng = random.Random(23)
     for _ in range(100):
         n = rng.randint(1, 4)
@@ -122,7 +117,7 @@ def test_square_wrapper_matches_brute_force():
             for _ in range(n)
         )
         want = brute_best([list(row) for row in weights])
-        got = max_weight_perfect_matching(WeightedBipartite(weights))
+        got = max_weight_row_saturating(weights)
         if want is None:
             assert got is None
         else:

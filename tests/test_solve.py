@@ -1,7 +1,11 @@
 """Solvers: patterns, partition DP, polynomial routes, kernels, dispatch."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import product
+from pathlib import Path
 
 import pytest
 
@@ -592,6 +596,38 @@ def test_dispatch_maximize_capacity_guidance():
     with pytest.raises(CapacityError) as err:
         dispatch(inst, "max")
     assert "mode=decide" in str(err.value)
+
+
+def test_dispatch_checks_witnesses_under_optimize():
+    # A route that returns an invalid witness must not get past dispatch, not
+    # even when python -O strips every assert statement.
+    code = """
+import sys
+from apep import AuthorizationRelation, Instance, PairConstraint, dispatch
+from apep.solve import _PatternContext
+
+if not sys.flags.optimize:
+    sys.exit("not running under -O")
+inst = Instance.create(
+    ["u1", "u2"], ["r1", "r2"], {"u1": ["r1", "r2"], "u2": ["r1", "r2"]},
+    [PairConstraint(0, 1, "xor", "forall")],
+)
+full = AuthorizationRelation.full(inst.n, inst.k)
+_PatternContext.evaluate = lambda self, pattern: (full, full.size)
+try:
+    report = dispatch(inst, "max")
+except AssertionError as e:
+    print(e)
+    sys.exit(0)
+sys.exit(f"dispatch returned an invalid {report.algorithm} witness")
+"""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-O", "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "sod_u_patterns returned an invalid witness" in proc.stdout
 
 
 def test_dispatch_deterministic_reports():
