@@ -16,7 +16,7 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from pathlib import Path
 
@@ -42,14 +42,19 @@ INSTANCE_FORMAT = "apep-instance"
 RELATION_FORMAT = "apep-relation"
 FORMAT_VERSION = 1
 
-PAIR_FIELDS = {"type", "r", "r2", "op", "quant"}
-CONSTRAINT_FIELDS = {
-    "pair": PAIR_FIELDS,
-    "global_card": {"type", "cmp", "t"},
-    "local_card": {"type", "scope", "cmp", "t"},
-    "smer": {"type", "scope"},
-    "team_sod": {"type", "left", "right"},
+# The kinds of a constraint record's fields: a resource name, a list of
+# resource names, an integer, or a value the constraint class checks itself.
+NAME, NAMES, INT, VALUE = "name", "names", "int", "value"
+# Each record type: its constraint class and its fields in record order.  A
+# field fills the class attribute of the same name.
+RECORDS = {
+    "pair": (PairConstraint, (("r", NAME), ("r2", NAME), ("op", VALUE), ("quant", VALUE))),
+    "global_card": (GlobalCardConstraint, (("cmp", VALUE), ("t", INT))),
+    "local_card": (LocalCardConstraint, (("scope", NAMES), ("cmp", VALUE), ("t", INT))),
+    "smer": (SmerConstraint, (("scope", NAMES),)),
+    "team_sod": (TeamSodConstraint, (("left", NAMES), ("right", NAMES))),
 }
+_TYPE_OF = {cls: ctype for ctype, (cls, _) in RECORDS.items()}
 TOP_FIELDS = {"format", "version", "users", "resources", "base", "constraints", "metadata"}
 
 
@@ -89,10 +94,6 @@ def parse_instance(doc, strict: bool = False) -> tuple[Instance, dict]:
     resources = _name_list(doc.get("resources"), "resources")
     base = doc.get("base")
     _require(isinstance(base, dict), "base", "expected an object mapping users to resource lists")
-    known_users = set(users)
-    for uname, rnames in base.items():
-        _require(uname in known_users, f"base[{uname!r}]", "unknown user")
-        _name_list(rnames, f"base[{uname!r}]")
 
     rindex = {name: i for i, name in enumerate(resources)}
     constraints: list[Constraint] = []
@@ -113,50 +114,32 @@ def parse_instance(doc, strict: bool = False) -> tuple[Instance, dict]:
     return inst, extras
 
 
-def _resource_refs(value, rindex: dict[str, int], where: str) -> frozenset[int]:
-    names = _name_list(value, where)
-    out = set()
-    for name in names:
-        _require(name in rindex, where, f"unknown resource {name!r}")
-        out.add(rindex[name])
-    return frozenset(out)
-
-
 def _parse_constraint(rec, rindex: dict[str, int], where: str, strict: bool) -> Constraint:
     _require(isinstance(rec, dict), where, "expected an object")
     ctype = rec.get("type")
-    _require(isinstance(ctype, str) and ctype in CONSTRAINT_FIELDS, where,
-             f"unknown type {ctype!r}")
+    _require(isinstance(ctype, str) and ctype in RECORDS, where, f"unknown type {ctype!r}")
+    cls, schema = RECORDS[ctype]
     if strict:
-        unknown = sorted(set(rec) - CONSTRAINT_FIELDS[ctype])
+        unknown = sorted(set(rec) - {"type"} - {name for name, _ in schema})
         _require(not unknown, where, f"unknown fields {unknown}")
-    try:
-        if ctype == "pair":
-            for field_name in ("r", "r2"):
-                name = rec.get(field_name)
-                _require(isinstance(name, str) and name in rindex, f"{where}.{field_name}",
-                         f"unknown resource {name!r}")
-            return PairConstraint(
-                rindex[rec["r"]], rindex[rec["r2"]], rec.get("op"), rec.get("quant")
-            )
-        if ctype in ("global_card", "local_card"):
-            t = rec.get("t")
-            _require(isinstance(t, int) and not isinstance(t, bool), f"{where}.t",
+    values = {}
+    for name, kind in schema:
+        value, at = rec.get(name), f"{where}.{name}"
+        if kind == NAME:
+            _require(isinstance(value, str) and value in rindex, at,
+                     f"unknown resource {value!r}")
+            value = rindex[value]
+        elif kind == NAMES:
+            for rname in _name_list(value, at):
+                _require(rname in rindex, at, f"unknown resource {rname!r}")
+            value = frozenset(rindex[rname] for rname in value)
+        elif kind == INT:
+            _require(isinstance(value, int) and not isinstance(value, bool), at,
                      "expected an integer")
-            if ctype == "global_card":
-                return GlobalCardConstraint(rec.get("cmp"), t)
-            return LocalCardConstraint(
-                _resource_refs(rec.get("scope"), rindex, f"{where}.scope"), rec.get("cmp"), t
-            )
-        if ctype == "smer":
-            return SmerConstraint(_resource_refs(rec.get("scope"), rindex, f"{where}.scope"))
-        return TeamSodConstraint(
-            _resource_refs(rec.get("left"), rindex, f"{where}.left"),
-            _resource_refs(rec.get("right"), rindex, f"{where}.right"),
-        )
+        values[name] = value
+    try:
+        return cls(**values)
     except ValueError as e:
-        if isinstance(e, ParseError):
-            raise
         raise ParseError(f"{where}: {e}") from None
 
 
@@ -180,23 +163,16 @@ def parse_relation(doc, inst: Instance) -> AuthorizationRelation:
 
 
 def _constraint_record(inst: Instance, c: Constraint) -> dict:
-    rname = inst.resources
-
-    def names(scope) -> list[str]:
-        return [rname[r] for r in sorted(scope)]
-
-    if isinstance(c, PairConstraint):
-        return {"type": "pair", "r": rname[c.r], "r2": rname[c.r2],
-                "op": c.op, "quant": c.quant}
-    if isinstance(c, GlobalCardConstraint):
-        return {"type": "global_card", "cmp": c.cmp, "t": c.t}
-    if isinstance(c, LocalCardConstraint):
-        return {"type": "local_card", "scope": names(c.scope), "cmp": c.cmp, "t": c.t}
-    if isinstance(c, SmerConstraint):
-        return {"type": "smer", "scope": names(c.scope)}
-    if isinstance(c, TeamSodConstraint):
-        return {"type": "team_sod", "left": names(c.left), "right": names(c.right)}
-    raise TypeError(f"not a constraint: {c!r}")
+    ctype = _TYPE_OF[type(c)]
+    rec = {"type": ctype}
+    for name, kind in RECORDS[ctype][1]:
+        value = getattr(c, name)
+        if kind == NAME:
+            value = inst.resources[value]
+        elif kind == NAMES:
+            value = [inst.resources[r] for r in sorted(value)]
+        rec[name] = value
+    return rec
 
 
 def serialize_instance(inst: Instance, extras: dict | None = None) -> str:
@@ -228,22 +204,29 @@ def serialize_relation(inst: Instance, A: AuthorizationRelation) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
-def load_instance(path: str, strict: bool = False) -> Instance:
+def _read_json(path: str):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            doc = json.load(fh)
+            return json.load(fh)
         except json.JSONDecodeError as e:
             raise ParseError(f"{path}: invalid JSON: {e}") from None
-    return parse_instance(doc, strict=strict)[0]
+
+
+def _parse_file(path: str, parse, *args):
+    """``parse`` applied to the JSON document at ``path``; its errors name the file."""
+    doc = _read_json(path)
+    try:
+        return parse(doc, *args)
+    except ParseError as e:
+        raise ParseError(f"{path}: {e}") from None
+
+
+def load_instance(path: str, strict: bool = False) -> Instance:
+    return _parse_file(path, parse_instance, strict)[0]
 
 
 def load_relation(path: str, inst: Instance) -> AuthorizationRelation:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{path}: invalid JSON: {e}") from None
-    return parse_relation(doc, inst)
+    return _parse_file(path, parse_relation, inst)
 
 
 # ---------------------------------------------------------------------------
@@ -441,6 +424,14 @@ def _run_algo(inst: Instance, algo: str, mode: str, budget: int) -> SolveReport:
     return route(inst, mode, budget) if algo == "brute" else route(inst)
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out``, or to stdout when there is none."""
+    if out is not None:
+        Path(out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def _report_json(inst: Instance, report: SolveReport, mode: str) -> str:
     doc = {
         "algorithm": report.algorithm,
@@ -514,38 +505,13 @@ def _cmd_reduce(args) -> int:
             f"family bound f={f}, removed {len(trace.removed_users)} users",
             file=sys.stderr,
         )
-    text = serialize_instance(reduced)
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    _emit(serialize_instance(reduced), args.out)
     return 0
 
 
 def _cmd_gen(args) -> int:
-    params = GenParams(
-        n=args.n,
-        k=args.k,
-        density=args.density,
-        seed=args.seed,
-        bodu=args.bodu,
-        bode=args.bode,
-        sodu=args.sodu,
-        sode=args.sode,
-        implies=args.implies,
-        gcard=args.gcard,
-        lcard=args.lcard,
-        smer=args.smer,
-        teamsod=args.teamsod,
-        t_min=args.t_min,
-        t_max=args.t_max,
-    )
-    inst = generate(params)
-    text = serialize_instance(inst)
-    if args.out is not None:
-        Path(args.out).write_text(text, encoding="utf-8")
-    else:
-        sys.stdout.write(text)
+    params = GenParams(**{f.name: getattr(args, f.name) for f in fields(GenParams)})
+    _emit(serialize_instance(generate(params)), args.out)
     return 0
 
 
@@ -563,26 +529,23 @@ _BENCH_COLUMNS = (
 
 
 def _cmd_bench(args) -> int:
-    with open(args.suite, "r", encoding="utf-8") as fh:
-        try:
-            suite = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ParseError(f"{args.suite}: invalid JSON: {e}") from None
+    suite = _read_json(args.suite)
     _require(isinstance(suite, dict) and isinstance(suite.get("runs"), list),
-             "suite", "expected an object with a 'runs' list")
+             f"{args.suite}: suite", "expected an object with a 'runs' list")
     base_dir = Path(args.suite).resolve().parent
 
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=_BENCH_COLUMNS)
     writer.writeheader()
     for i, run in enumerate(suite["runs"]):
-        _require(isinstance(run, dict), f"runs[{i}]", "expected an object")
+        where = f"{args.suite}: runs[{i}]"
+        _require(isinstance(run, dict), where, "expected an object")
         rel_path = run.get("instance")
-        _require(isinstance(rel_path, str), f"runs[{i}].instance", "expected a path")
+        _require(isinstance(rel_path, str), f"{where}.instance", "expected a path")
         algo = run.get("algo", "auto")
         mode = run.get("mode", "decide")
-        _require(algo in _ALGOS, f"runs[{i}].algo", f"expected one of {_ALGOS}")
-        _require(mode in MODES, f"runs[{i}].mode", "expected decide or max")
+        _require(algo in _ALGOS, f"{where}.algo", f"expected one of {_ALGOS}")
+        _require(mode in MODES, f"{where}.mode", "expected decide or max")
         inst = load_instance(str(base_dir / rel_path))
         row = {"instance": rel_path, "algo": algo, "mode": mode}
         try:
@@ -590,7 +553,7 @@ def _cmd_bench(args) -> int:
         except CapacityError:
             row["decision"] = "capacity"
         except ValueError as e:
-            raise ParseError(f"runs[{i}]: {e}") from None
+            raise ParseError(f"{where}: {e}") from None
         else:
             row["decision"] = "sat" if report.satisfiable else "unsat"
             if report.max_size is not None:
@@ -600,11 +563,7 @@ def _cmd_bench(args) -> int:
                 if key in report.counters:
                     row[key] = report.counters[key]
         writer.writerow(row)
-
-    if args.out is not None:
-        Path(args.out).write_text(buf.getvalue(), encoding="utf-8")
-    else:
-        sys.stdout.write(buf.getvalue())
+    _emit(buf.getvalue(), args.out)
     return 0
 
 

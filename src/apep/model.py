@@ -474,17 +474,14 @@ class Instance:
             if (rel.n_users, rel.n_resources) != (len(users), len(resources)):
                 raise ValueError("base relation shape does not match name tables")
         else:
-            uidx = {name: i for i, name in enumerate(users)}
-            ridx = {name: i for i, name in enumerate(resources)}
-            rows = [0] * len(users)
-            for uname, rnames in base.items():
-                if uname not in uidx:
-                    raise ValueError(f"unknown user {uname!r} in base relation")
-                for rname in rnames:
-                    if rname not in ridx:
-                        raise ValueError(f"unknown resource {rname!r} in base relation")
-                    rows[uidx[uname]] |= 1 << ridx[rname]
-            rel = AuthorizationRelation(len(users), len(resources), tuple(rows))
+            try:
+                rel = _relation_from_names(
+                    base,
+                    {name: i for i, name in enumerate(users)},
+                    {name: i for i, name in enumerate(resources)},
+                )
+            except ValueError as e:
+                raise ValueError(f"base relation: {e}") from None
 
         empty = [resources[r] for r, col in enumerate(rel.cols) if col == 0]
         if empty:
@@ -520,20 +517,7 @@ class Instance:
         self, mapping: Mapping[str, Iterable[str]]
     ) -> AuthorizationRelation:
         """Build a relation over this instance's id space from name lists."""
-        rows = [0] * self.n
-        for uname, rnames in mapping.items():
-            if uname not in self.user_index:
-                raise ValueError(f"unknown user {uname!r}")
-            try:
-                for rname in rnames:
-                    if rname not in self.resource_index:
-                        raise ValueError(f"unknown resource {rname!r}")
-                    rows[self.user_index[uname]] |= 1 << self.resource_index[rname]
-            except TypeError:
-                raise ValueError(
-                    f"user {uname!r}: expected a list of resource names"
-                ) from None
-        return AuthorizationRelation(self.n, self.k, tuple(rows))
+        return _relation_from_names(mapping, self.user_index, self.resource_index)
 
     def relation_to_names(self, A: AuthorizationRelation) -> dict[str, list[str]]:
         """Name-keyed view of a relation, users in table order, empty rows omitted."""
@@ -545,6 +529,30 @@ class Instance:
 
     def constraint_kinds(self) -> frozenset[str]:
         return frozenset(constraint_kind(c) for c in self.constraints)
+
+
+def _relation_from_names(
+    mapping: Mapping[str, Iterable[str]],
+    user_index: Mapping[str, int],
+    resource_index: Mapping[str, int],
+) -> AuthorizationRelation:
+    """The relation that lists, per user name, the names of their resources."""
+    rows = [0] * len(user_index)
+    for uname, rnames in mapping.items():
+        if uname not in user_index:
+            raise ValueError(f"unknown user {uname!r}")
+        row = 0
+        try:
+            if isinstance(rnames, str):  # iterable, but its characters are no names
+                raise TypeError
+            for rname in rnames:
+                if rname not in resource_index:
+                    raise ValueError(f"user {uname!r}: unknown resource {rname!r}")
+                row |= 1 << resource_index[rname]
+        except TypeError:
+            raise ValueError(f"user {uname!r}: expected a list of resource names") from None
+        rows[user_index[uname]] = row
+    return AuthorizationRelation(len(user_index), len(resource_index), tuple(rows))
 
 
 def _constraint_resources(c: Constraint) -> frozenset[int]:

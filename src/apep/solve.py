@@ -739,25 +739,20 @@ def solve_wsp(
     if any(a == 0 for a in class_auth):
         return None
 
+    all_users = (1 << len(wsp.user_names)) - 1
     explored = 0
     for pattern in enumerate_eligible_patterns(nc, sorted(conflicts)):
         explored += 1
-        users: set[int] = set()
+        block_auths = []
+        users = 0
         for block in pattern.blocks:
-            auth = -1
+            auth = all_users
             for c in indices_of(block):
                 auth &= class_auth[c]
-            users.update(indices_of(auth & ((1 << len(wsp.user_names)) - 1)))
-        pool = sorted(users)
-        col_of = {u: i for i, u in enumerate(pool)}
-        weights: list[list[int | None]] = []
-        for block in pattern.blocks:
-            auth = -1
-            for c in indices_of(block):
-                auth &= class_auth[c]
-            weights.append(
-                [0 if auth >> u & 1 else None for u in pool]
-            )
+            block_auths.append(auth)
+            users |= auth
+        pool = indices_of(users)
+        weights = [[0 if auth >> u & 1 else None for u in pool] for auth in block_auths]
         if len(weights) > len(pool):
             continue
         matched = max_weight_row_saturating(weights)

@@ -74,6 +74,11 @@ def test_parse_instance_all_constraint_types():
     inst, _ = parse_instance(doc)
     kinds = [constraint_kind(c) for c in inst.constraints]
     assert kinds == ["sod_u", "global_card", "local_card", "smer", "team_sod"]
+    # every record type round-trips byte for byte and names only known fields
+    text = serialize_instance(inst)
+    assert json.loads(text)["constraints"] == doc["constraints"]
+    again, _ = parse_instance(json.loads(text), strict=True)
+    assert serialize_instance(again) == text
 
 
 @pytest.mark.parametrize(
@@ -90,6 +95,10 @@ def test_parse_instance_all_constraint_types():
         (lambda d: d.update(base=["u1"]), "base"),
         (lambda d: d["base"].update(ghost=["r1"]), "unknown user"),
         (lambda d: d["base"].update(u2=["rX"]), "rX"),
+        (
+            lambda d: d["base"].update(u2="r2"),
+            "base relation: user 'u2': expected a list of resource names",
+        ),
         (lambda d: d.update(constraints={}), "constraints"),
         (lambda d: d["constraints"].append({"type": "mystery"}), "unknown type"),
         (
@@ -182,8 +191,10 @@ def test_parse_relation_errors():
             {"format": "apep-relation", "version": 1, "relation": {"ghost": ["r1"]}},
             inst,
         )
-    for bad in ({"u1": 5}, {"u1": [["r1"]]}):
-        with pytest.raises(ParseError, match="relation: user 'u1'"):
+    for bad in ({"u1": 5}, {"u1": [["r1"]]}, {"u1": "ab"}):
+        with pytest.raises(
+            ParseError, match="relation: user 'u1': expected a list of resource names"
+        ):
             parse_relation({"format": "apep-relation", "version": 1, "relation": bad}, inst)
 
 
@@ -350,10 +361,12 @@ def test_main_input_errors(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{", encoding="utf-8")
     assert main(["solve", "--in", str(bad)]) == 2
+    assert f"{bad}: invalid JSON" in capsys.readouterr().err
     strict_doc = minimal_doc(comment="x")
     strict = tmp_path / "strict.json"
     strict.write_text(json.dumps(strict_doc), encoding="utf-8")
     assert main(["solve", "--in", str(strict), "--strict"]) == 2
+    assert f"{strict}: document: unknown fields" in capsys.readouterr().err
     assert main(["solve", "--in", str(strict)]) in (0, 1)
     capsys.readouterr()
 
@@ -363,15 +376,24 @@ def test_main_input_errors(tmp_path, capsys):
     typed = tmp_path / "typed.json"
     typed.write_text(json.dumps(typed_doc), encoding="utf-8")
     assert main(["solve", "--in", str(typed)]) == 2
-    assert "constraints[0]: unknown type ['pair']" in capsys.readouterr().err
+    assert f"{typed}: constraints[0]: unknown type ['pair']" in capsys.readouterr().err
     good = tmp_path / "good.json"
     good.write_text(json.dumps(minimal_doc()), encoding="utf-8")
     rel = tmp_path / "rel.json"
-    for relation in ({"u1": 5}, {"u1": [["r1"]]}):
+    for relation in ({"u1": 5}, {"u1": [["r1"]]}, {"u1": "ab"}):
         rel.write_text(json.dumps({"format": "apep-relation", "version": 1,
                                    "relation": relation}), encoding="utf-8")
         assert main(["verify", "--in", str(good), "--relation", str(rel)]) == 2
-        assert "relation: user 'u1'" in capsys.readouterr().err
+        assert f"{rel}: relation: user 'u1'" in capsys.readouterr().err
+
+
+def test_cli_exposes_benchmark_entry_points():
+    # perfbench/run.py and perfbench/spans.py call these through apep.cli
+    import apep.cli
+
+    for name in ("GenParams", "generate", "parse_instance", "parse_relation",
+                 "serialize_instance", "serialize_relation"):
+        assert callable(getattr(apep.cli, name, None)), name
 
 
 def test_main_argparse_paths(capsys):
@@ -499,8 +521,10 @@ def test_main_bench_suite_errors(tmp_path, capsys):
     bad.write_text(json.dumps({"runs": [{"instance": "x.json", "algo": "nope"}]}),
                    encoding="utf-8")
     assert main(["bench", "--suite", str(bad)]) == 2
+    assert f"{bad}: runs[0].algo" in capsys.readouterr().err
     bad.write_text(json.dumps({}), encoding="utf-8")
     assert main(["bench", "--suite", str(bad)]) == 2
+    assert f"{bad}: suite" in capsys.readouterr().err
     chain = tmp_path / "chain.json"
     chain.write_text(
         (FIXTURES / "separation_chain_5x4.json").read_text(encoding="utf-8"),
@@ -511,4 +535,10 @@ def test_main_bench_suite_errors(tmp_path, capsys):
         encoding="utf-8",
     )
     assert main(["bench", "--suite", str(bad)]) == 2
-    capsys.readouterr()
+    assert f"{bad}: runs[0]: the wsp route" in capsys.readouterr().err
+    # a bad instance of the suite is named by its own path
+    broken = tmp_path / "broken.json"
+    broken.write_text(json.dumps(minimal_doc(version=7)), encoding="utf-8")
+    bad.write_text(json.dumps({"runs": [{"instance": "broken.json"}]}), encoding="utf-8")
+    assert main(["bench", "--suite", str(bad)]) == 2
+    assert f"{broken.resolve()}: version: expected 1" in capsys.readouterr().err

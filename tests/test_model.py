@@ -260,8 +260,11 @@ def test_instance_create_validation():
         Instance.create(["u1"], ["r1", "r1"], {"u1": ["r1"]})
     with pytest.raises(ValueError):
         Instance.create(["u1"], ["r1"], {"ghost": ["r1"]})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="base relation: user 'u1': unknown resource"):
         Instance.create(["u1"], ["r1"], {"u1": ["ghost"]})
+    # a string is not read as a list of one-letter names
+    with pytest.raises(ValueError, match="base relation: user 'u1': expected a list"):
+        Instance.create(["u1"], ["a", "b"], {"u1": "ab"})
     # every resource needs at least one permitted user
     with pytest.raises(ValueError) as err:
         Instance.create(["u1"], ["r1", "r2"], {"u1": ["r1"]})
@@ -307,6 +310,9 @@ def test_relation_name_round_trip():
         inst.relation_from_names({"ghost": ["files"]})
     with pytest.raises(ValueError):
         inst.relation_from_names({"alice": ["ghost"]})
+    letters = Instance.create(["u1"], ["a", "b"], {"u1": ["a", "b"]})
+    with pytest.raises(ValueError, match="user 'u1': expected a list"):
+        letters.relation_from_names({"u1": "ab"})
 
 
 def test_constraint_kinds_set():
