@@ -11,7 +11,8 @@ machine integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
@@ -19,10 +20,8 @@ UserId = int
 ResourceId = int
 
 PAIR_OPS = ("iff", "implies", "implied_by", "xor")
-CANONICAL_PAIR_OPS = ("iff", "implies", "xor")
 QUANTS = ("forall", "exists")
 CMPS = ("<", "<=", "=", ">=", ">")
-CANONICAL_CMPS = ("<=", "=", ">=")
 
 
 def indices_of(mask: int) -> tuple[int, ...]:
@@ -48,6 +47,22 @@ def iter_submasks(mask: int) -> Iterator[int]:
 # ---------------------------------------------------------------------------
 # Constraints
 # ---------------------------------------------------------------------------
+#
+# Each constraint class states its meaning once, in ``admits(lo, hi)``: can
+# the constraint still hold when every column ``c[r]`` (the user mask of
+# resource ``r``) lies between ``lo[r]`` and ``hi[r]``, that is, when
+# ``lo[r] & ~c[r] == 0`` and ``c[r] & ~hi[r] == 0``?  It answers False only
+# when no such columns satisfy the constraint, and it is exact when
+# ``lo == hi``.  ``resources`` are the ids it reads (empty: every column),
+# ``kind`` is its routing tag and ``normalized()`` its canonical form.
+
+_PAIR_KINDS = {
+    ("iff", "forall"): "bod_u",
+    ("iff", "exists"): "bod_e",
+    ("xor", "forall"): "sod_u",
+    ("xor", "exists"): "sod_e",
+    ("implies", "forall"): "implies",
+}
 
 
 @dataclass(frozen=True)
@@ -76,6 +91,75 @@ class PairConstraint:
         if self.quant not in QUANTS:
             raise ValueError(f"unknown quantifier {self.quant!r}")
 
+    @property
+    def kind(self) -> str:
+        c = self.normalized()
+        return _PAIR_KINDS[c.op, c.quant]
+
+    @property
+    def resources(self) -> frozenset[ResourceId]:
+        return frozenset((self.r, self.r2))
+
+    def normalized(self) -> "PairConstraint":
+        r, r2, op, quant = self.r, self.r2, self.op, self.quant
+        if op == "implied_by":
+            r, r2 = r2, r
+            op = "implies"
+        if op == "implies" and quant == "exists":
+            op = "iff"
+        if op in ("iff", "xor") and r > r2:
+            r, r2 = r2, r
+        if (r, r2, op, quant) == (self.r, self.r2, self.op, self.quant):
+            return self
+        return PairConstraint(r, r2, op, quant)
+
+    def admits(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
+        a, b, op = self.r, self.r2, self.op
+        if op == "implied_by":
+            a, b, op = b, a, "implies"
+        if self.quant == "exists":
+            if op == "xor":  # different users
+                return not lo[a] == hi[a] == lo[b] == hi[b]
+            return bool(hi[a] & hi[b])  # iff, implies: a shared user
+        if op == "iff":  # the same users
+            return (lo[a] | lo[b]) & ~(hi[a] & hi[b]) == 0
+        if op == "xor":  # no shared user
+            return not lo[a] & lo[b]
+        return lo[a] & ~hi[b] == 0  # implies: users of a also hold b
+
+
+def _admits_count(low: int, high: int, cmp: str, t: int) -> bool:
+    """Whether some count in ``[low, high]`` satisfies ``count cmp t``."""
+    if cmp == "<":
+        return low < t
+    if cmp == "<=":
+        return low <= t
+    if cmp == "=":
+        return low <= t <= high
+    if cmp == ">=":
+        return high >= t
+    if cmp == ">":
+        return high > t
+    raise ValueError(f"unknown comparison {cmp!r}")
+
+
+def _normalized_card(c: GlobalCardConstraint | LocalCardConstraint) -> Constraint:
+    """A cardinality constraint with its strict comparison made inclusive."""
+    if c.cmp == "<":
+        if c.t == 1:
+            raise ValueError("(<, 1) admits no complete relation")
+        return replace(c, cmp="<=", t=c.t - 1)
+    if c.cmp == ">":
+        return replace(c, cmp=">=", t=c.t + 1)
+    return c
+
+
+def _union(masks: Sequence[int], ids: Iterable[int]) -> int:
+    out = 0
+    for r in ids:
+        out |= masks[r]
+    return out
+
 
 @dataclass(frozen=True)
 class GlobalCardConstraint:
@@ -84,11 +168,22 @@ class GlobalCardConstraint:
     cmp: str
     t: int
 
+    kind = "global_card"
+    resources = frozenset()  # every column
+
     def __post_init__(self) -> None:
         if self.cmp not in CMPS:
             raise ValueError(f"unknown comparison {self.cmp!r}")
         if self.t < 1:
             raise ValueError("threshold must be at least 1")
+
+    normalized = _normalized_card
+
+    def admits(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
+        return all(
+            _admits_count(low.bit_count(), high.bit_count(), self.cmp, self.t)
+            for low, high in zip(lo, hi)
+        )
 
 
 @dataclass(frozen=True)
@@ -98,6 +193,8 @@ class LocalCardConstraint:
     scope: frozenset[ResourceId]
     cmp: str
     t: int
+
+    kind = "local_card"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scope", frozenset(self.scope))
@@ -110,12 +207,25 @@ class LocalCardConstraint:
         if self.t < 1:
             raise ValueError("threshold must be at least 1")
 
+    @property
+    def resources(self) -> frozenset[ResourceId]:
+        return self.scope
+
+    normalized = _normalized_card
+
+    def admits(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
+        low = _union(lo, self.scope).bit_count()
+        high = _union(hi, self.scope).bit_count()
+        return _admits_count(low, high, self.cmp, self.t)
+
 
 @dataclass(frozen=True)
 class SmerConstraint:
     """No single user may hold every resource in the scope."""
 
     scope: frozenset[ResourceId]
+
+    kind = "smer"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "scope", frozenset(self.scope))
@@ -124,6 +234,19 @@ class SmerConstraint:
         if any(r < 0 for r in self.scope):
             raise ValueError("resource ids must be non-negative")
 
+    @property
+    def resources(self) -> frozenset[ResourceId]:
+        return self.scope
+
+    def normalized(self) -> "SmerConstraint":
+        return self
+
+    def admits(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
+        inter = -1
+        for r in self.scope:
+            inter &= lo[r]
+        return inter == 0
+
 
 @dataclass(frozen=True)
 class TeamSodConstraint:
@@ -131,6 +254,8 @@ class TeamSodConstraint:
 
     left: frozenset[ResourceId]
     right: frozenset[ResourceId]
+
+    kind = "team_sod"
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "left", frozenset(self.left))
@@ -141,6 +266,16 @@ class TeamSodConstraint:
             raise ValueError("sides must be disjoint")
         if any(r < 0 for r in self.left | self.right):
             raise ValueError("resource ids must be non-negative")
+
+    @property
+    def resources(self) -> frozenset[ResourceId]:
+        return self.left | self.right
+
+    def normalized(self) -> "TeamSodConstraint":
+        return self
+
+    def admits(self, lo: Sequence[int], hi: Sequence[int]) -> bool:
+        return not _union(lo, self.left) & _union(lo, self.right)
 
 
 Constraint = Union[
@@ -153,33 +288,17 @@ Constraint = Union[
 
 
 def constraint_kind(c: Constraint) -> str:
-    """Classification tag used for solver routing.
+    """Classification tag used for solver routing: ``c.kind``.
 
     Pair constraints are tagged by their normalized species: ``bod_u``
     (iff/forall), ``bod_e`` (iff/exists), ``sod_u`` (xor/forall), ``sod_e``
     (xor/exists) and ``implies`` (implies/forall).
     """
-    if isinstance(c, PairConstraint):
-        n = normalize(c)
-        assert isinstance(n, PairConstraint)
-        if n.op == "iff":
-            return "bod_u" if n.quant == "forall" else "bod_e"
-        if n.op == "xor":
-            return "sod_u" if n.quant == "forall" else "sod_e"
-        return "implies"
-    if isinstance(c, GlobalCardConstraint):
-        return "global_card"
-    if isinstance(c, LocalCardConstraint):
-        return "local_card"
-    if isinstance(c, SmerConstraint):
-        return "smer"
-    if isinstance(c, TeamSodConstraint):
-        return "team_sod"
-    raise TypeError(f"not a constraint: {c!r}")
+    return c.kind
 
 
 def normalize(c: Constraint) -> Constraint:
-    """Rewrite a constraint into canonical form.
+    """Rewrite a constraint into canonical form: ``c.normalized()``.
 
     Rules:
       * ``implied_by`` becomes ``implies`` with swapped operands.
@@ -194,55 +313,7 @@ def normalize(c: Constraint) -> Constraint:
 
     Already canonical constraints are returned unchanged (same object).
     """
-    if isinstance(c, PairConstraint):
-        r, r2, op, quant = c.r, c.r2, c.op, c.quant
-        if op == "implied_by":
-            r, r2 = r2, r
-            op = "implies"
-        if op == "implies" and quant == "exists":
-            op = "iff"
-        if op in ("iff", "xor") and r > r2:
-            r, r2 = r2, r
-        if (r, r2, op, quant) == (c.r, c.r2, c.op, c.quant):
-            return c
-        return PairConstraint(r, r2, op, quant)
-    if isinstance(c, GlobalCardConstraint):
-        cmp, t = _normalize_cmp(c.cmp, c.t)
-        if (cmp, t) == (c.cmp, c.t):
-            return c
-        return GlobalCardConstraint(cmp, t)
-    if isinstance(c, LocalCardConstraint):
-        cmp, t = _normalize_cmp(c.cmp, c.t)
-        if (cmp, t) == (c.cmp, c.t):
-            return c
-        return LocalCardConstraint(c.scope, cmp, t)
-    if isinstance(c, (SmerConstraint, TeamSodConstraint)):
-        return c
-    raise TypeError(f"not a constraint: {c!r}")
-
-
-def _normalize_cmp(cmp: str, t: int) -> tuple[str, int]:
-    if cmp == "<":
-        if t == 1:
-            raise ValueError("(<, 1) admits no complete relation")
-        return "<=", t - 1
-    if cmp == ">":
-        return ">=", t + 1
-    return cmp, t
-
-
-def _compare(value: int, cmp: str, t: int) -> bool:
-    if cmp == "<":
-        return value < t
-    if cmp == "<=":
-        return value <= t
-    if cmp == "=":
-        return value == t
-    if cmp == ">=":
-        return value >= t
-    if cmp == ">":
-        return value > t
-    raise ValueError(f"unknown comparison {cmp!r}")
+    return c.normalized()
 
 
 # ---------------------------------------------------------------------------
@@ -378,42 +449,7 @@ def eval_constraint(A: AuthorizationRelation, c: Constraint) -> bool:
     Total over all constraint forms, including non-canonical ones, which are
     evaluated per their normalized meaning.
     """
-    cols = A.cols
-    if isinstance(c, PairConstraint):
-        r, r2, op, quant = c.r, c.r2, c.op, c.quant
-        if op == "implied_by":
-            r, r2 = r2, r
-            op = "implies"
-        m1, m2 = cols[r], cols[r2]
-        if op == "iff":
-            return m1 == m2 if quant == "forall" else bool(m1 & m2)
-        if op == "xor":
-            return not m1 & m2 if quant == "forall" else m1 != m2
-        # implies
-        if quant == "forall":
-            return m1 & ~m2 == 0
-        return bool(m1 & m2)
-    if isinstance(c, GlobalCardConstraint):
-        return all(_compare(col.bit_count(), c.cmp, c.t) for col in cols)
-    if isinstance(c, LocalCardConstraint):
-        union = 0
-        for r in c.scope:
-            union |= cols[r]
-        return _compare(union.bit_count(), c.cmp, c.t)
-    if isinstance(c, SmerConstraint):
-        inter = -1
-        for r in c.scope:
-            inter &= cols[r]
-        return inter == 0
-    if isinstance(c, TeamSodConstraint):
-        left = 0
-        for r in c.left:
-            left |= cols[r]
-        right = 0
-        for r in c.right:
-            right |= cols[r]
-        return not left & right
-    raise TypeError(f"not a constraint: {c!r}")
+    return c.admits(A.cols, A.cols)
 
 
 def user_independence_witness(
@@ -464,10 +500,10 @@ class Instance:
             raise ValueError("need at least one user")
         if not resources:
             raise ValueError("need at least one resource")
-        if len(set(users)) != len(users):
-            raise ValueError("duplicate user names")
-        if len(set(resources)) != len(resources):
-            raise ValueError("duplicate resource names")
+        for where, names in (("users", users), ("resources", resources)):
+            if len(set(names)) != len(names):
+                dup = next(x for x, m in Counter(names).items() if m > 1)
+                raise ValueError(f"{where}: duplicate name {dup!r}")
 
         if isinstance(base, AuthorizationRelation):
             rel = base
@@ -485,16 +521,17 @@ class Instance:
 
         empty = [resources[r] for r, col in enumerate(rel.cols) if col == 0]
         if empty:
-            raise ValueError(f"resources with no permitted user: {', '.join(empty)}")
+            raise ValueError(
+                f"base relation: resources with no permitted user: {', '.join(empty)}"
+            )
 
         k = len(resources)
         normed = []
         for c in constraints:
-            refs = _constraint_resources(c)
-            bad = [r for r in refs if r >= k]
+            bad = [r for r in c.resources if r >= k]
             if bad:
                 raise ValueError(f"constraint {c!r} references unknown resource ids {bad}")
-            normed.append(normalize(c))
+            normed.append(c.normalized())
         return cls(users, resources, rel, tuple(normed))
 
     @property
@@ -528,7 +565,7 @@ class Instance:
         return out
 
     def constraint_kinds(self) -> frozenset[str]:
-        return frozenset(constraint_kind(c) for c in self.constraints)
+        return frozenset(c.kind for c in self.constraints)
 
 
 def _relation_from_names(
@@ -553,20 +590,6 @@ def _relation_from_names(
             raise ValueError(f"user {uname!r}: expected a list of resource names") from None
         rows[user_index[uname]] = row
     return AuthorizationRelation(len(user_index), len(resource_index), tuple(rows))
-
-
-def _constraint_resources(c: Constraint) -> frozenset[int]:
-    if isinstance(c, PairConstraint):
-        return frozenset((c.r, c.r2))
-    if isinstance(c, GlobalCardConstraint):
-        return frozenset()
-    if isinstance(c, LocalCardConstraint):
-        return c.scope
-    if isinstance(c, SmerConstraint):
-        return c.scope
-    if isinstance(c, TeamSodConstraint):
-        return c.left | c.right
-    raise TypeError(f"not a constraint: {c!r}")
 
 
 def default_user_names(n: int) -> tuple[str, ...]:

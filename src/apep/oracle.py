@@ -2,10 +2,14 @@
 
 These enumerate candidate relations column by column (resource by resource,
 non-empty user subsets in increasing mask order), so the first witness found
-is the lexicographically least one.  Constraint checks run incrementally on
-assignment prefixes and are exact at the last resource a constraint touches,
-which makes the search a sound and complete decision procedure.  A budget on
-the raw candidate count guards against silently unbounded runs.
+is the lexicographically least one.  The search keeps two bounds per column:
+an assigned column ``j`` has ``lo[j] == hi[j]`` equal to its chosen users, an
+unassigned one has ``lo[j] == 0`` and ``hi[j]`` its base column.  Right after
+column ``j`` is assigned, each constraint that reads ``j`` checks
+``admits(lo, hi)``, which rejects only prefixes that no completion can
+satisfy and is exact once every column it reads is assigned.  That makes the
+search a sound and complete decision procedure.  A budget on the raw
+candidate count guards against silently unbounded runs.
 
 The solvers in :mod:`apep.solve` are tested against these oracles; keep this
 module simple and obviously correct.
@@ -13,16 +17,9 @@ module simple and obviously correct.
 
 from __future__ import annotations
 
-from .model import (
-    AuthorizationRelation,
-    GlobalCardConstraint,
-    Instance,
-    LocalCardConstraint,
-    PairConstraint,
-    SmerConstraint,
-    TeamSodConstraint,
-    _compare,
-)
+from typing import Callable, Iterator
+
+from .model import AuthorizationRelation, Instance
 from .verify import check_valid
 
 DEFAULT_BUDGET = 1 << 24
@@ -45,117 +42,33 @@ def _check_budget(inst: Instance, budget: int) -> None:
         )
 
 
-def _compile_checks(inst: Instance):
-    """Per-level admissibility checks over assignment prefixes.
+def _search(inst: Instance) -> tuple[list[int], Callable[[int], Iterator[int]]]:
+    """The lower bounds ``lo`` and the per-column assignment generator.
 
-    ``checks[j]`` holds predicates run right after column ``j`` is assigned.
-    Each predicate may only reject prefixes that cannot extend to an eligible
-    full assignment, and the predicate at a constraint's last level is exact.
+    ``choices(j)`` assigns column ``j`` each non-empty subset of its base
+    column in increasing mask order, and yields the subset when every
+    constraint that reads ``j`` still admits the bounds.  Once exhausted it
+    leaves column ``j`` unassigned again.
     """
     k = inst.k
     cols = inst.base.cols
-    checks: list[list] = [[] for _ in range(k)]
+    lo, hi = [0] * k, list(cols)
+    readers = [
+        [c for c in inst.constraints if j in (c.resources or range(k))]
+        for j in range(k)
+    ]
 
-    for c in inst.constraints:
-        if isinstance(c, PairConstraint):
-            r, r2, op, quant = c.r, c.r2, c.op, c.quant
-            lo, hi = min(r, r2), max(r, r2)
+    def choices(j: int) -> Iterator[int]:
+        m = cols[j]
+        sub = 0
+        while sub != m:
+            sub = (sub - m) & m
+            lo[j] = hi[j] = sub
+            if all(c.admits(lo, hi) for c in readers[j]):
+                yield sub
+        lo[j], hi[j] = 0, m
 
-            if op == "iff" and quant == "forall":
-                other = cols[r2 if lo == r else r]
-                checks[lo].append(lambda ch, lo=lo, other=other: ch[lo] & ~other == 0)
-                checks[hi].append(lambda ch, r=r, r2=r2: ch[r] == ch[r2])
-            elif op == "iff":
-                other = cols[r2 if lo == r else r]
-                checks[lo].append(lambda ch, lo=lo, other=other: bool(ch[lo] & other))
-                checks[hi].append(lambda ch, r=r, r2=r2: bool(ch[r] & ch[r2]))
-            elif op == "xor" and quant == "forall":
-                checks[hi].append(lambda ch, r=r, r2=r2: not ch[r] & ch[r2])
-            elif op == "xor":
-                checks[hi].append(lambda ch, r=r, r2=r2: ch[r] != ch[r2])
-            else:  # implies/forall (normalization leaves no other form)
-                if r < r2:
-                    checks[r].append(
-                        lambda ch, r=r, t=cols[r2]: ch[r] & ~t == 0
-                    )
-                checks[hi].append(lambda ch, r=r, r2=r2: ch[r] & ~ch[r2] == 0)
-
-        elif isinstance(c, GlobalCardConstraint):
-            for j in range(k):
-                checks[j].append(
-                    lambda ch, j=j, cmp=c.cmp, t=c.t: _compare(
-                        ch[j].bit_count(), cmp, t
-                    )
-                )
-
-        elif isinstance(c, LocalCardConstraint):
-            levels = sorted(c.scope)
-            last = levels[-1]
-            for j in levels:
-                rest = 0
-                for r in levels:
-                    if r > j:
-                        rest |= cols[r]
-                scope_now = tuple(r for r in levels if r <= j)
-
-                def lc_check(
-                    ch,
-                    scope_now=scope_now,
-                    rest=rest,
-                    exact=j == last,
-                    cmp=c.cmp,
-                    t=c.t,
-                ):
-                    union = 0
-                    for r in scope_now:
-                        union |= ch[r]
-                    have = union.bit_count()
-                    if exact:
-                        return _compare(have, cmp, t)
-                    if cmp in ("<=", "=") and have > t:
-                        return False
-                    if cmp in (">=", "=") and (union | rest).bit_count() < t:
-                        return False
-                    return True
-
-                checks[j].append(lc_check)
-
-        elif isinstance(c, SmerConstraint):
-            levels = sorted(c.scope)
-            last = levels[-1]
-
-            def smer_check(ch, levels=tuple(levels)):
-                inter = -1
-                for r in levels:
-                    inter &= ch[r]
-                return inter == 0
-
-            checks[last].append(smer_check)
-
-        elif isinstance(c, TeamSodConstraint):
-            left = tuple(sorted(c.left))
-            right = tuple(sorted(c.right))
-            for j in sorted(c.left | c.right):
-
-                def ts_check(
-                    ch,
-                    left_now=tuple(r for r in left if r <= j),
-                    right_now=tuple(r for r in right if r <= j),
-                ):
-                    lm = 0
-                    for r in left_now:
-                        lm |= ch[r]
-                    rm = 0
-                    for r in right_now:
-                        rm |= ch[r]
-                    return not lm & rm
-
-                checks[j].append(ts_check)
-
-        else:
-            raise TypeError(f"not a constraint: {c!r}")
-
-    return checks
+    return lo, choices
 
 
 def brute_decide(
@@ -164,26 +77,16 @@ def brute_decide(
     """First (lexicographically least) valid relation, or None when unsat."""
     _check_budget(inst, budget)
     k = inst.k
-    cols = inst.base.cols
-    checks = _compile_checks(inst)
-    chosen = [0] * k
+    lo, choices = _search(inst)
 
+    # a generator left at a witness keeps its column assigned, so on
+    # success ``lo`` holds the witness
     def rec(j: int) -> bool:
-        if j == k:
-            return True
-        m = cols[j]
-        sub = 0
-        while sub != m:
-            sub = (sub - m) & m
-            chosen[j] = sub
-            if all(chk(chosen) for chk in checks[j]) and rec(j + 1):
-                return True
-        chosen[j] = 0
-        return False
+        return j == k or any(rec(j + 1) for _ in choices(j))
 
     if not rec(0):
         return None
-    rel = AuthorizationRelation.from_cols(inst.n, inst.k, chosen)
+    rel = AuthorizationRelation.from_cols(inst.n, inst.k, lo)
     assert check_valid(inst, rel).valid
     return rel
 
@@ -199,8 +102,7 @@ def brute_maximize(
     _check_budget(inst, budget)
     k = inst.k
     cols = inst.base.cols
-    checks = _compile_checks(inst)
-    chosen = [0] * k
+    lo, choices = _search(inst)
 
     suffix_cap = [0] * (k + 1)
     for j in range(k - 1, -1, -1):
@@ -214,18 +116,12 @@ def brute_maximize(
         if j == k:
             if acc > best_size:
                 best_size = acc
-                best = tuple(chosen)
+                best = tuple(lo)
             return
         if acc + suffix_cap[j] <= best_size:
             return
-        m = cols[j]
-        sub = 0
-        while sub != m:
-            sub = (sub - m) & m
-            chosen[j] = sub
-            if all(chk(chosen) for chk in checks[j]):
-                rec(j + 1, acc + sub.bit_count())
-        chosen[j] = 0
+        for sub in choices(j):
+            rec(j + 1, acc + sub.bit_count())
 
     rec(0, 0)
     if best is None:

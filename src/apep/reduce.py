@@ -17,10 +17,7 @@ from .model import (
     Instance,
     LocalCardConstraint,
     PairConstraint,
-    SmerConstraint,
     TeamSodConstraint,
-    constraint_kind,
-    indices_of,
     normalize,
 )
 from .verify import instance_bound

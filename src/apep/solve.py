@@ -219,11 +219,7 @@ def _independent_sets(k: int, pairs: Iterable[tuple[int, int]]) -> list[bool]:
 
 
 def _conflict_pairs(inst: Instance) -> list[tuple[int, int]]:
-    pairs = []
-    for c in inst.constraints:
-        if isinstance(c, PairConstraint) and c.op == "xor" and c.quant == "forall":
-            pairs.append((c.r, c.r2))
-    return pairs
+    return [(c.r, c.r2) for c in inst.constraints if c.kind == "sod_u"]
 
 
 class _PatternContext:
@@ -408,7 +404,7 @@ def build_index_family(inst: Instance) -> IndexFamily:
     threshold = k.bit_length() - 1
     partners: dict[int, set[int]] = {r: set() for r in range(k)}
     for c in inst.constraints:
-        if isinstance(c, PairConstraint) and c.op == "xor" and c.quant == "exists":
+        if c.kind == "sod_e":
             partners[c.r].add(c.r2)
             partners[c.r2].add(c.r)
 

@@ -90,7 +90,11 @@ def test_parse_instance_all_constraint_types():
         (lambda d: d.update(users=["u1", ""]), "users[1]"),
         (
             lambda d: d.update(users=["u1", "u1"], base={"u1": ["r1", "r2"]}),
-            "duplicate",
+            "users: duplicate name 'u1'",
+        ),
+        (
+            lambda d: d.update(base={"u1": ["r1"], "u2": ["r1"]}),
+            "base relation: resources with no permitted user: r2",
         ),
         (lambda d: d.update(base=["u1"]), "base"),
         (lambda d: d["base"].update(ghost=["r1"]), "unknown user"),
