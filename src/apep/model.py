@@ -320,6 +320,11 @@ def normalize(c: Constraint) -> Constraint:
 # Relations
 # ---------------------------------------------------------------------------
 
+# Translation tables of the transposes, one per bit j of a byte: the binary
+# digit of bit j of each byte value, and each binary digit onto bit j.
+_DIGIT_OF_BIT = tuple(bytes(b"01"[b >> j & 1] for b in range(256)) for j in range(8))
+_BIT_OF_DIGIT = tuple(bytes.maketrans(b"01", bytes((0, 1 << j))) for j in range(8))
+
 
 @dataclass(frozen=True)
 class AuthorizationRelation:
@@ -339,8 +344,7 @@ class AuthorizationRelation:
             raise ValueError("negative dimensions")
         if len(self.rows) != self.n_users:
             raise ValueError("row count does not match n_users")
-        limit = 1 << self.n_resources
-        if any(row < 0 or row >= limit for row in self.rows):
+        if self.rows and (min(self.rows) < 0 or max(self.rows) >> self.n_resources):
             raise ValueError("row mask out of range")
 
     @classmethod
@@ -367,12 +371,21 @@ class AuthorizationRelation:
         cols = tuple(cols)
         if len(cols) != n_resources:
             raise ValueError("column count does not match n_resources")
+        # The inverse of ``cols``: a column's binary digits, last user first,
+        # become one byte per user with the column's bit of its chunk set;
+        # OR-ing the columns of a chunk gives each user's byte of that chunk.
+        width = f"0{n_users}b"
         rows = [0] * n_users
-        for r, col in enumerate(cols):
-            if col < 0 or col >= 1 << n_users:
-                raise ValueError("column mask out of range")
-            for u in indices_of(col):
-                rows[u] |= 1 << r
+        for lo in range(0, n_resources, 8):
+            chunk = 0
+            for r in range(lo, min(lo + 8, n_resources)):
+                col = cols[r]
+                if col < 0 or col >> n_users:
+                    raise ValueError("column mask out of range")
+                digits = format(col, width).encode().translate(_BIT_OF_DIGIT[r - lo])
+                chunk |= int.from_bytes(digits, "big")
+            shifted = map(lo.__rlshift__, chunk.to_bytes(n_users, "little"))
+            rows = list(map(int.__or__, rows, shifted))
         return cls(n_users, n_resources, tuple(rows))
 
     @classmethod
@@ -382,19 +395,20 @@ class AuthorizationRelation:
 
     @cached_property
     def cols(self) -> tuple[int, ...]:
-        cols = [0] * self.n_resources
-        for u, row in enumerate(self.rows):
-            bit = 1 << u
-            rest = row
-            while rest:
-                low = rest & -rest
-                cols[low.bit_length() - 1] |= bit
-                rest ^= low
+        # One C-level pass per resource: each user's byte of an 8-resource
+        # chunk, last user first, is translated to the binary digit of one
+        # resource, and ``int(digits, 2)`` reads the column off the digits.
+        cols = []
+        backwards = self.rows[::-1]
+        for lo in range(0, self.n_resources, 8):
+            chunk = bytes(map((0xFF).__and__, map(lo.__rrshift__, backwards)))
+            for r in range(lo, min(lo + 8, self.n_resources)):
+                cols.append(int(chunk.translate(_DIGIT_OF_BIT[r - lo]) or b"0", 2))
         return tuple(cols)
 
     @cached_property
     def size(self) -> int:
-        return sum(row.bit_count() for row in self.rows)
+        return sum(map(int.bit_count, self.rows))
 
     def user_resources(self, u: UserId) -> frozenset[ResourceId]:
         return frozenset(indices_of(self.rows[u]))
@@ -414,7 +428,7 @@ class AuthorizationRelation:
     def is_subrelation_of(self, other: "AuthorizationRelation") -> bool:
         if (self.n_users, self.n_resources) != (other.n_users, other.n_resources):
             return False
-        return all(row & ~base == 0 for row, base in zip(self.rows, other.rows))
+        return not any(map(int.__and__, self.rows, map(int.__invert__, other.rows)))
 
     def without_user(self, u: UserId) -> "AuthorizationRelation":
         """Same shape, with every pair of user ``u`` removed."""
@@ -500,8 +514,13 @@ class Instance:
             raise ValueError("need at least one user")
         if not resources:
             raise ValueError("need at least one resource")
-        for where, names in (("users", users), ("resources", resources)):
-            if len(set(names)) != len(names):
+        user_index = dict(zip(users, range(len(users))))
+        resource_index = dict(zip(resources, range(len(resources))))
+        for where, names, index in (
+            ("users", users, user_index),
+            ("resources", resources, resource_index),
+        ):
+            if len(index) != len(names):
                 dup = next(x for x, m in Counter(names).items() if m > 1)
                 raise ValueError(f"{where}: duplicate name {dup!r}")
 
@@ -511,11 +530,7 @@ class Instance:
                 raise ValueError("base relation shape does not match name tables")
         else:
             try:
-                rel = _relation_from_names(
-                    base,
-                    {name: i for i, name in enumerate(users)},
-                    {name: i for i, name in enumerate(resources)},
-                )
+                rel = _relation_from_names(base, user_index, resource_index)
             except ValueError as e:
                 raise ValueError(f"base relation: {e}") from None
 
@@ -575,20 +590,26 @@ def _relation_from_names(
 ) -> AuthorizationRelation:
     """The relation that lists, per user name, the names of their resources."""
     rows = [0] * len(user_index)
+    row_of: dict[tuple, int] = {}  # each distinct list of names is read once
     for uname, rnames in mapping.items():
-        if uname not in user_index:
+        u = user_index.get(uname)
+        if u is None:
             raise ValueError(f"unknown user {uname!r}")
-        row = 0
         try:
             if isinstance(rnames, str):  # iterable, but its characters are no names
                 raise TypeError
-            for rname in rnames:
-                if rname not in resource_index:
-                    raise ValueError(f"user {uname!r}: unknown resource {rname!r}")
-                row |= 1 << resource_index[rname]
+            key = tuple(rnames)
+            row = row_of.get(key)
+            if row is None:
+                row = 0
+                for rname in key:
+                    if rname not in resource_index:
+                        raise ValueError(f"user {uname!r}: unknown resource {rname!r}")
+                    row |= 1 << resource_index[rname]
+                row_of[key] = row
         except TypeError:
             raise ValueError(f"user {uname!r}: expected a list of resource names") from None
-        rows[user_index[uname]] = row
+        rows[u] = row
     return AuthorizationRelation(len(user_index), len(resource_index), tuple(rows))
 
 

@@ -8,7 +8,7 @@ instance back to the original one.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .model import (
     AuthorizationRelation,
@@ -18,7 +18,6 @@ from .model import (
     LocalCardConstraint,
     PairConstraint,
     TeamSodConstraint,
-    normalize,
 )
 from .verify import instance_bound
 
@@ -149,7 +148,7 @@ def eliminate_bod_u(
 
     dsu = _DisjointSet(inst.k)
     for c in inst.constraints:
-        if c.op == "iff" and c.quant == "forall":
+        if c.kind == "bod_u":
             dsu.union(c.r, c.r2)
 
     by_root: dict[int, list[int]] = {}
@@ -175,12 +174,12 @@ def eliminate_bod_u(
     seen: dict[Constraint, int] = {}
     rewrites: list[tuple[int, str]] = []
     for idx, c in enumerate(inst.constraints):
-        if c.op == "iff" and c.quant == "forall":
+        if c.kind == "bod_u":
             rewrites.append((idx, "class-edge"))
             continue
         a, b = class_pos[c.r], class_pos[c.r2]
         if a == b:
-            if c.op == "xor":
+            if c.kind in ("sod_u", "sod_e"):
                 name = inst.resources[reps[a]]
                 return TriviallyUnsat(
                     f"constraint {idx} separates resources merged into {name}"
@@ -188,7 +187,7 @@ def eliminate_bod_u(
             # iff/exists and implies/forall hold on any merged class
             rewrites.append((idx, "dropped"))
             continue
-        nc = normalize(PairConstraint(a, b, c.op, c.quant))
+        nc = replace(c, r=a, r2=b).normalized()
         if nc in seen:
             rewrites.append((idx, f"duplicate:{seen[nc]}"))
         else:
@@ -240,15 +239,9 @@ def replay_trace(inst: Instance, trace: ReductionTrace) -> Instance:
             action = actions.get(idx, "")
             if not action.startswith("lifted:"):
                 continue
-            assert isinstance(c, PairConstraint)
-            nc = normalize(
-                PairConstraint(
-                    pos_of[current.resources[c.r]],
-                    pos_of[current.resources[c.r2]],
-                    c.op,
-                    c.quant,
-                )
-            )
+            nc = replace(
+                c, r=pos_of[current.resources[c.r]], r2=pos_of[current.resources[c.r2]]
+            ).normalized()
             new_cons.append((int(action.split(":", 1)[1]), nc))
         new_cons.sort()
         current = Instance.create(
@@ -313,8 +306,7 @@ def to_wsp(inst: Instance) -> WspInstance:
     partners: dict[int, set[int]] = {r: set() for r in range(inst.k)}
     xor_pairs: set[tuple[int, int]] = set()
     for c in inst.constraints:
-        assert isinstance(c, PairConstraint)
-        if c.op == "iff":
+        if c.kind == "bod_e":
             partners[c.r].add(c.r2)
             partners[c.r2].add(c.r)
         else:

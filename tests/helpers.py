@@ -8,6 +8,7 @@ is meaningful evidence.
 
 from __future__ import annotations
 
+import json
 import operator
 from itertools import product
 from pathlib import Path
@@ -23,6 +24,7 @@ from apep import (
     default_resource_names,
     default_user_names,
 )
+from apep.cli import _constraint_record
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -148,3 +150,30 @@ def core_of_cols(cols, n, constraints):
         ):
             core.append(u)
     return frozenset(core)
+
+
+def reference_serialize_instance(inst, extras=None):
+    """The instance writer as ``json.dumps(doc, indent=2)``: the bytes to match."""
+    doc = {
+        "format": "apep-instance",
+        "version": 1,
+        "users": list(inst.users),
+        "resources": list(inst.resources),
+        "base": {
+            name: [inst.resources[r] for r in range(inst.k) if inst.base.rows[u] >> r & 1]
+            for u, name in enumerate(inst.users)
+        },
+        "constraints": [_constraint_record(inst, c) for c in inst.constraints],
+    }
+    extras = dict(extras or {})
+    if "metadata" in extras:
+        doc["metadata"] = extras.pop("metadata")
+    for key in sorted(extras):
+        doc[key] = extras[key]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def reference_serialize_relation(inst, A):
+    """The relation writer as ``json.dumps(doc, indent=2)``: the bytes to match."""
+    doc = {"format": "apep-relation", "version": 1, "relation": inst.relation_to_names(A)}
+    return json.dumps(doc, indent=2) + "\n"

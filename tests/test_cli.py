@@ -3,10 +3,12 @@
 import csv
 import io
 import json
+import random
 
 import pytest
 
 from apep import (
+    AuthorizationRelation,
     Instance,
     PairConstraint,
     SmerConstraint,
@@ -26,7 +28,12 @@ from apep.cli import (
     serialize_relation,
 )
 from apep.solve import ROUTES
-from helpers import FIXTURES, make
+from helpers import (
+    FIXTURES,
+    make,
+    reference_serialize_instance,
+    reference_serialize_relation,
+)
 
 FIXTURE_NAMES = (
     "distinct_teams_8x3.json",
@@ -88,6 +95,10 @@ def test_parse_instance_all_constraint_types():
         (lambda d: d.update(version=2), "version"),
         (lambda d: d.update(users="u1"), "users"),
         (lambda d: d.update(users=["u1", ""]), "users[1]"),
+        (
+            lambda d: d.update(users=["u1", "u2", "u3", 5, ""]),
+            "users[3]: expected a non-empty string",
+        ),
         (
             lambda d: d.update(users=["u1", "u1"], base={"u1": ["r1", "r2"]}),
             "users: duplicate name 'u1'",
@@ -180,6 +191,33 @@ def test_relation_round_trip():
     rel = inst.base.without_user(0)
     text = serialize_relation(inst, rel)
     assert parse_relation(json.loads(text), inst) == rel
+
+
+def test_writers_match_json_dumps():
+    """Both writers emit the bytes of ``json.dumps(doc, indent=2)``."""
+    insts = [parse_instance(json.loads((FIXTURES / name).read_text(encoding="utf-8")))[0]
+             for name in FIXTURE_NAMES]
+    for k in range(1, 11):
+        insts.append(generate(GenParams(n=40, k=k, density=0.4, seed=k, lcard=1,
+                                        sodu=int(k > 1), smer=int(k > 1))))
+    names = ["plain", 'quo"te', "back\\slash", "new\nline", "\u00fcn\u00ef", "\u96ea", "tab\t"]
+    # users without a base entry get an empty row
+    insts.append(Instance.create(names, ['r"1', "r\u00e9"], {
+        names[0]: ['r"1'], names[3]: ["r\u00e9", 'r"1'], names[5]: ["r\u00e9"],
+    }))
+    extras = {
+        "metadata": {"origin": "tests", "nested": [1, {"x": "\u00e9\n"}], "empty": {}},
+        "zeta": [],
+        "alpha": 'q"\\',
+    }
+    rng = random.Random(8)
+    for inst in insts:
+        for ex in (None, extras):
+            assert serialize_instance(inst, ex) == reference_serialize_instance(inst, ex)
+        sub = tuple(row & rng.randrange(1 << inst.k) for row in inst.base.rows)
+        for rows in (inst.base.rows, sub, (0,) * inst.n):
+            A = AuthorizationRelation(inst.n, inst.k, rows)
+            assert serialize_relation(inst, A) == reference_serialize_relation(inst, A)
 
 
 def test_parse_relation_errors():

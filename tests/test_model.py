@@ -157,6 +157,25 @@ def test_relation_constructors_agree():
         AuthorizationRelation.from_cols(2, 2, (0b11,))
 
 
+@pytest.mark.parametrize("k", (1, 7, 8, 9, 16, 17))
+def test_transposes_across_chunk_boundaries(k):
+    # The transposes work on 8-resource chunks; compare them bit by bit on
+    # both sides of a chunk boundary and of a 64-user word boundary.
+    rng = random.Random(k)
+    for n in (0, 1, 63, 64, 65, 1000):
+        rows = tuple(rng.randrange(1 << k) for _ in range(n - 1)) + ((1 << k) - 1,) * (n > 0)
+        cols = tuple(sum(1 << u for u in range(n) if rows[u] >> r & 1) for r in range(k))
+        assert AuthorizationRelation(n, k, rows).cols == cols, n
+        assert AuthorizationRelation.from_cols(n, k, cols).rows == rows, n
+
+    for rows in ((0, -1), (1 << k, 0)):
+        with pytest.raises(ValueError, match="row mask out of range"):
+            AuthorizationRelation(2, k, rows)
+    for bad in (-1, 1 << 3):
+        with pytest.raises(ValueError, match="column mask out of range"):
+            AuthorizationRelation.from_cols(3, k, (0,) * (k - 1) + (bad,))
+
+
 def test_relation_views():
     a = AuthorizationRelation(3, 4, (0b0101, 0b0011, 0b1000))
     # transpose checked against a direct double loop
