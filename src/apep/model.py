@@ -13,7 +13,8 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Iterable, Iterator, Mapping, Sequence, Union
 
 UserId = int
@@ -384,8 +385,11 @@ class AuthorizationRelation:
                     raise ValueError("column mask out of range")
                 digits = format(col, width).encode().translate(_BIT_OF_DIGIT[r - lo])
                 chunk |= int.from_bytes(digits, "big")
-            shifted = map(lo.__rlshift__, chunk.to_bytes(n_users, "little"))
-            rows = list(map(int.__or__, rows, shifted))
+            per_user = chunk.to_bytes(n_users, "little")
+            if lo:
+                rows = list(map(int.__or__, rows, map(lo.__rlshift__, per_user)))
+            else:
+                rows = list(per_user)
         return cls(n_users, n_resources, tuple(rows))
 
     @classmethod
@@ -398,10 +402,14 @@ class AuthorizationRelation:
         # One C-level pass per resource: each user's byte of an 8-resource
         # chunk, last user first, is translated to the binary digit of one
         # resource, and ``int(digits, 2)`` reads the column off the digits.
+        # The first chunk needs no shift, and the last no mask.
         cols = []
         backwards = self.rows[::-1]
         for lo in range(0, self.n_resources, 8):
-            chunk = bytes(map((0xFF).__and__, map(lo.__rrshift__, backwards)))
+            chunk = map(lo.__rrshift__, backwards) if lo else backwards
+            if lo + 8 < self.n_resources:
+                chunk = map((0xFF).__and__, chunk)
+            chunk = bytes(chunk)
             for r in range(lo, min(lo + 8, self.n_resources)):
                 cols.append(int(chunk.translate(_DIGIT_OF_BIT[r - lo]) or b"0", 2))
         return tuple(cols)
@@ -534,7 +542,8 @@ class Instance:
             except ValueError as e:
                 raise ValueError(f"base relation: {e}") from None
 
-        empty = [resources[r] for r, col in enumerate(rel.cols) if col == 0]
+        held = reduce(or_, rel.rows, 0)
+        empty = [name for r, name in enumerate(resources) if not held >> r & 1]
         if empty:
             raise ValueError(
                 f"base relation: resources with no permitted user: {', '.join(empty)}"
