@@ -180,14 +180,16 @@ def _constraint_record(inst: Instance, c: Constraint) -> dict:
 
 
 class _Encoded(tuple):
-    """The JSON text, in pieces, of a value at depth 1 of an indented document."""
+    """The JSON text, in pieces, of a value in an indented document."""
 
 
-def _names_json(names: Sequence[str]) -> _Encoded:
-    """A list of names, one ``encode_basestring_ascii`` call per name."""
+def _names_json(names: Sequence[str], depth: int = 1) -> _Encoded:
+    """A list of names at ``depth``, one ``encode_basestring_ascii`` call per name."""
     if not names:
         return _Encoded(("[]",))
-    return _Encoded(("[\n    ", ",\n    ".join(map(encode_basestring_ascii, names)), "\n  ]"))
+    pad = "\n" + "  " * depth
+    items = f",{pad}  ".join(map(encode_basestring_ascii, names))
+    return _Encoded((f"[{pad}  ", items, f"{pad}]"))
 
 
 def _rows_json(inst: Instance, rows: Sequence[int], keep_empty: bool) -> _Encoded:
@@ -203,8 +205,7 @@ def _rows_json(inst: Instance, rows: Sequence[int], keep_empty: bool) -> _Encode
     if not names:
         return _Encoded(("{}",))
     row_json = {
-        row: ": " + json.dumps([inst.resources[r] for r in indices_of(row)], indent=2)
-        .replace("\n", "\n    ")
+        row: ": " + "".join(_names_json([inst.resources[r] for r in indices_of(row)], depth=2))
         for row in set(rows)
     }
     items = map(add, map(encode_basestring_ascii, names), map(row_json.__getitem__, rows))
@@ -212,7 +213,7 @@ def _rows_json(inst: Instance, rows: Sequence[int], keep_empty: bool) -> _Encode
 
 
 def _dumps(doc: dict) -> str:
-    """``json.dumps(doc, indent=2) + "\n"``, byte for byte, with the C encoder.
+    """Byte for byte ``json.dumps(doc, indent=2)`` and a newline, by the C encoder.
 
     ``indent`` selects json's pure-Python encoder, which costs calls per item
     of the document.  So the n-sized values come in already encoded
