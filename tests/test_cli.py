@@ -14,10 +14,12 @@ from apep import (
     SmerConstraint,
     check_valid,
     constraint_kind,
+    dispatch,
 )
 from apep.cli import (
     GenParams,
     ParseError,
+    _report_json,
     generate,
     load_instance,
     load_relation,
@@ -218,6 +220,10 @@ def test_writers_match_json_dumps():
         for rows in (inst.base.rows, sub, (0,) * inst.n):
             A = AuthorizationRelation(inst.n, inst.k, rows)
             assert serialize_relation(inst, A) == reference_serialize_relation(inst, A)
+    # the report of ``apep solve --json`` carries a witness in the same layout
+    report = dispatch(insts[0], "max")
+    text = _report_json(insts[0], report, "max")
+    assert text == json.dumps(json.loads(text), indent=2) + "\n"
 
 
 def test_parse_relation_errors():
