@@ -556,7 +556,10 @@ class Instance:
             if bad:
                 raise ValueError(f"constraint {c!r} references unknown resource ids {bad}")
             normed.append(c.normalized())
-        return cls(users, resources, rel, tuple(normed))
+        inst = cls(users, resources, rel, tuple(normed))
+        # The cached name indexes are the dicts checked above.
+        vars(inst).update(user_index=user_index, resource_index=resource_index)
+        return inst
 
     @property
     def n(self) -> int:

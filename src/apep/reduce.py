@@ -18,6 +18,8 @@ from .model import (
     LocalCardConstraint,
     PairConstraint,
     TeamSodConstraint,
+    default_resource_names,
+    default_user_names,
 )
 from .verify import instance_bound
 
@@ -210,14 +212,16 @@ def eliminate_bod_u(
     )
 
 
+def _class_positions(trace: ReductionTrace) -> dict[str, int]:
+    """Resource name to the position of its merged class in the trace."""
+    return {name: pos for pos, names in enumerate(trace.resource_classes) for name in names}
+
+
 def lift_merged_classes(
     original: Instance, trace: ReductionTrace, A: AuthorizationRelation
 ) -> AuthorizationRelation:
     """Expand a relation over merged representatives to all class members."""
-    pos_of = {}
-    for pos, names in enumerate(trace.resource_classes):
-        for name in names:
-            pos_of[name] = pos
+    pos_of = _class_positions(trace)
     cols = [A.cols[pos_of[name]] for name in original.resources]
     return AuthorizationRelation.from_cols(original.n, original.k, cols)
 
@@ -226,10 +230,7 @@ def replay_trace(inst: Instance, trace: ReductionTrace) -> Instance:
     """Rebuild the reduced instance a trace describes, for auditability."""
     current = inst
     if trace.resource_classes:
-        pos_of = {}
-        for pos, names in enumerate(trace.resource_classes):
-            for name in names:
-                pos_of[name] = pos
+        pos_of = _class_positions(trace)
         cols = [-1] * len(trace.resource_classes)
         for r, name in enumerate(current.resources):
             cols[pos_of[name]] &= current.base.cols[r]
@@ -410,12 +411,8 @@ def encode_resiliency(
     if d < 1 or t < 1:
         raise ValueError("need d >= 1 and t >= 1")
 
-    users = user_names if user_names is not None else tuple(
-        f"u{i + 1}" for i in range(A.n_users)
-    )
-    rnames = resource_names if resource_names is not None else tuple(
-        f"r{i + 1}" for i in range(A.n_resources)
-    )
+    users = default_user_names(A.n_users) if user_names is None else user_names
+    rnames = default_resource_names(A.n_resources) if resource_names is None else resource_names
     for q in qs:
         if A.cols[q] == 0:
             return TriviallyUnsat(f"no user holds {rnames[q]}, no team can cover it")

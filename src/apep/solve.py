@@ -9,8 +9,9 @@ from __future__ import annotations
 
 import functools
 import time
+from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import combinations, islice
+from itertools import combinations, islice, repeat
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .matching import max_weight_row_saturating
@@ -222,16 +223,50 @@ def _conflict_pairs(inst: Instance) -> list[tuple[int, int]]:
     return [(c.r, c.r2) for c in inst.constraints if c.kind == "sod_u"]
 
 
+def _profile_pool(rows: Sequence[int], limit: int) -> list[tuple[int, list[int]]]:
+    """Each distinct row, ascending, with its ``limit`` lowest-index users.
+
+    Users with equal rows are interchangeable to a matcher, so the pool
+    serves every pattern of at most ``limit`` blocks as well as all users do.
+    """
+    users_of: dict[int, list[int]] = {}
+    for u, row in enumerate(rows):
+        users_of.setdefault(row, []).append(u)
+    return [(m, users_of[m][:limit]) for m in sorted(users_of)]
+
+
+def _match_blocks(
+    pattern: Pattern,
+    pool: Sequence[tuple[int, Sequence[int]]],
+    weight: Callable[[int, int], int | None],
+) -> tuple[list[int], int] | None:
+    """Give each block a distinct pool user, maximizing the summed
+    ``weight(block, row)`` of the users' rows, None where a user cannot take
+    a block.  Returns the user of each block and the total, or None."""
+    users = [u for _, group in pool for u in group]
+    if len(pattern.blocks) > len(users):
+        return None
+    weights = [
+        [w for m, group in pool for w in repeat(weight(block, m), len(group))]
+        for block in pattern.blocks
+    ]
+    matched = max_weight_row_saturating(weights)
+    if matched is None:
+        return None
+    return [users[c] for c in matched[0]], matched[1]
+
+
 class _PatternContext:
     """Shared tables for valuing patterns against one instance.
 
-    For each distinct base row (user profile) m, ``omega[m][T]`` is the size
-    of the largest conflict-free resource set X with T <= X <= m, or -1 when
+    For each distinct base row (user profile) m, ``omega[T]`` is the size of
+    the largest conflict-free resource set X with T <= X <= m, or -1 when
     none exists, and ``choice[m][T]`` is the first such X of maximum size
-    (smaller mask wins ties).  Matching collapses equal profiles: a block can
-    always take the lowest-index users of whichever profile serves it best,
-    and at most k blocks exist, so only min(k, count) candidates per profile
-    are ever needed.
+    (smaller mask wins ties).  A user who serves no block takes
+    ``choice[m][0]``, which sums to ``base_total`` over all users; serving
+    block T gains ``gain[m][T] = omega[T] - omega[0]`` (None when omega[T]
+    is -1).  A pattern's value is ``base_total`` plus the gain of a best
+    matching of its blocks to users, and only the winner's relation is built.
     """
 
     def __init__(self, inst: Instance):
@@ -240,76 +275,47 @@ class _PatternContext:
                 f"pattern search supports up to {MAX_PATTERN_RESOURCES} resources"
             )
         self.inst = inst
-        self.k = inst.k
-        self._indep = _independent_sets(inst.k, _conflict_pairs(inst))
+        k, size = inst.k, 1 << inst.k
+        indep = _independent_sets(k, _conflict_pairs(inst))
+        self.gain: dict[int, list[int | None]] = {}
+        self.choice: dict[int, list[int]] = {}
+        self.base_total = 0
+        for m, count in Counter(inst.base.rows).items():
+            omega = [-1] * size
+            choice = [0] * size
+            for sub in iter_submasks(m):
+                if indep[sub]:
+                    omega[sub] = sub.bit_count()
+                    choice[sub] = sub
+            for b in range(k):
+                bit = 1 << b
+                for t in range(size):
+                    if not t & bit:
+                        up = t | bit
+                        if omega[up] > omega[t] or (
+                            omega[up] == omega[t] and choice[up] < choice[t]
+                        ):
+                            omega[t] = omega[up]
+                            choice[t] = choice[up]
+            self.gain[m] = [None if w < 0 else w - omega[0] for w in omega]
+            self.choice[m] = choice
+            self.base_total += omega[0] * count
+        self.pool = _profile_pool(inst.base.rows, k)
 
-        profile_users: dict[int, list[int]] = {}
-        for u, row in enumerate(inst.base.rows):
-            profile_users.setdefault(row, []).append(u)
-        self.profile_users = profile_users
-        self.pool = [
-            (u, m)
-            for m in sorted(profile_users)
-            for u in profile_users[m][: min(inst.k, len(profile_users[m]))]
-        ]
-        self._tables: dict[int, tuple[list[int], list[int]]] = {}
+    def value(self, pattern: Pattern) -> tuple[list[int], int] | None:
+        """The block users of a best realization of the pattern and its
+        size, or None when the pattern cannot be realized."""
+        gain = self.gain
+        matched = _match_blocks(pattern, self.pool, lambda block, m: gain[m][block])
+        return None if matched is None else (matched[0], self.base_total + matched[1])
 
-    def tables_for(self, m: int) -> tuple[list[int], list[int]]:
-        cached = self._tables.get(m)
-        if cached is not None:
-            return cached
-        size = 1 << self.k
-        omega = [-1] * size
-        choice = [0] * size
-        sub = 0
-        while True:
-            if self._indep[sub]:
-                omega[sub] = sub.bit_count()
-                choice[sub] = sub
-            if sub == m:
-                break
-            sub = (sub - m) & m
-        for b in range(self.k):
-            bit = 1 << b
-            for t in range(size):
-                if not t & bit:
-                    up = t | bit
-                    if omega[up] > omega[t] or (
-                        omega[up] == omega[t] and choice[up] < choice[t]
-                    ):
-                        omega[t] = omega[up]
-                        choice[t] = choice[up]
-        self._tables[m] = (omega, choice)
-        return omega, choice
-
-    def evaluate(self, pattern: Pattern) -> tuple[AuthorizationRelation, int] | None:
-        inst = self.inst
-        d = len(pattern.blocks)
-        if d > inst.n:
-            return None
-
-        base_total = 0
-        for m, users in self.profile_users.items():
-            base_total += self.tables_for(m)[0][0] * len(users)
-
-        weights: list[list[int | None]] = []
-        for block in pattern.blocks:
-            row: list[int | None] = []
-            for u, m in self.pool:
-                omega = self.tables_for(m)[0]
-                w = omega[block]
-                row.append(None if w < 0 else w - omega[0])
-            weights.append(row)
-        matched = max_weight_row_saturating(weights)
-        if matched is None:
-            return None
-        assignment, gain = matched
-
-        rows = [self.tables_for(m)[1][0] for m in inst.base.rows]
-        for i, c in enumerate(assignment):
-            u, m = self.pool[c]
-            rows[u] = self.tables_for(m)[1][pattern.blocks[i]]
-        return AuthorizationRelation(inst.n, inst.k, tuple(rows)), base_total + gain
+    def witness(self, pattern: Pattern, users: Sequence[int]) -> AuthorizationRelation:
+        """The relation of a realization in which block i goes to ``users[i]``."""
+        base, choice = self.inst.base, self.choice
+        rows = list(map({m: choice[m][0] for m in choice}.__getitem__, base.rows))
+        for u, block in zip(users, pattern.blocks):
+            rows[u] = choice[base.rows[u]][block]
+        return AuthorizationRelation(base.n_users, base.n_resources, tuple(rows))
 
 
 def pattern_value(
@@ -333,10 +339,14 @@ def pattern_value(
                 raise ValueError(
                     f"pattern is not eligible: separated pair ({a}, {b}) shares a block"
                 )
-    res = _PatternContext(inst).evaluate(pattern)
-    if res is not None:
-        _verify_witness(inst, *res, "pattern valuation")
-    return res
+    ctx = _PatternContext(inst)
+    res = ctx.value(pattern)
+    if res is None:
+        return None
+    users, size = res
+    witness = ctx.witness(pattern, users)
+    _verify_witness(inst, witness, size, "pattern valuation")
+    return witness, size
 
 
 @_route("sodu", {"sod_u"})
@@ -348,18 +358,18 @@ def max_sod_u(inst: Instance) -> SolveReport:
     maximum solution size.
     """
     ctx = _PatternContext(inst)
-    best: tuple[AuthorizationRelation, int] | None = None
+    best: tuple[Pattern, list[int], int] | None = None
     explored = 0
     for pattern in enumerate_eligible_patterns(inst.k, _conflict_pairs(inst)):
         explored += 1
-        res = ctx.evaluate(pattern)
-        if res is not None and (best is None or res[1] > best[1]):
-            best = res
+        res = ctx.value(pattern)
+        if res is not None and (best is None or res[1] > best[2]):
+            best = (pattern, *res)
     return SolveReport(
         algorithm="sod_u_patterns",
         satisfiable=best is not None,
-        witness=None if best is None else best[0],
-        max_size=None if best is None else best[1],
+        witness=None if best is None else ctx.witness(*best[:2]),
+        max_size=None if best is None else best[2],
         counters={"patterns_explored": explored},
     )
 
@@ -714,6 +724,7 @@ def solve_wsp(
     each authorized for every step inside their block.
     """
     n_steps = wsp.n_steps
+    n_users = len(wsp.user_names)
     dsu = _DisjointSet(n_steps)
     for a, b in wsp.eq_pairs:
         dsu.union(a, b)
@@ -722,7 +733,7 @@ def solve_wsp(
     roots = sorted({find(s) for s in range(n_steps)})
     class_index = {root: i for i, root in enumerate(roots)}
     nc = len(roots)
-    class_auth = [-1] * nc
+    class_auth = [(1 << n_users) - 1] * nc
     for s in range(n_steps):
         class_auth[class_index[find(s)]] &= wsp.auth[s]
 
@@ -735,37 +746,22 @@ def solve_wsp(
     if any(a == 0 for a in class_auth):
         return None
 
-    all_users = (1 << len(wsp.user_names)) - 1
+    # A user can serve a block when their row of classes holds it; a
+    # pattern has at most nc blocks, so nc users of each row suffice.
+    rows = AuthorizationRelation.from_cols(n_users, nc, class_auth).rows
+    pool = _profile_pool(rows, nc)
     explored = 0
     for pattern in enumerate_eligible_patterns(nc, sorted(conflicts)):
         explored += 1
-        block_auths = []
-        users = 0
-        for block in pattern.blocks:
-            auth = all_users
-            for c in indices_of(block):
-                auth &= class_auth[c]
-            block_auths.append(auth)
-            users |= auth
-        pool = indices_of(users)
-        weights = [[0 if auth >> u & 1 else None for u in pool] for auth in block_auths]
-        if len(weights) > len(pool):
-            continue
-        matched = max_weight_row_saturating(weights)
+        matched = _match_blocks(
+            pattern, pool, lambda block, row: None if block & ~row else 0
+        )
         if matched is None:
             continue
-        assignment, _ = matched
         if stats is not None:
             stats["patterns_explored"] = explored
-        plan = [0] * n_steps
-        block_user = [pool[c] for c in assignment]
-        class_block = {}
-        for i, block in enumerate(pattern.blocks):
-            for c in indices_of(block):
-                class_block[c] = i
-        for s in range(n_steps):
-            plan[s] = block_user[class_block[class_index[find(s)]]]
-        return tuple(plan)
+        user_of = {c: u for u, block in zip(matched[0], pattern.blocks) for c in indices_of(block)}
+        return tuple(user_of[class_index[find(s)]] for s in range(n_steps))
 
     if stats is not None:
         stats["patterns_explored"] = explored

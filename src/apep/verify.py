@@ -7,12 +7,7 @@ from dataclasses import dataclass
 from .model import (
     AuthorizationRelation,
     Constraint,
-    GlobalCardConstraint,
     Instance,
-    LocalCardConstraint,
-    PairConstraint,
-    SmerConstraint,
-    TeamSodConstraint,
     eval_constraint,
     normalize,
 )
@@ -97,22 +92,21 @@ def bound_for(c: Constraint, k: int) -> CoreBound:
     most k, which is also the floor used by :func:`instance_bound`.
     """
     c = normalize(c)
-    if isinstance(c, PairConstraint):
-        if c.op == "xor":
-            return CoreBound(k, "paper")
-        # iff/forall, iff/exists, implies/forall
+    if c.kind in ("sod_u", "sod_e"):
+        return CoreBound(k, "paper")
+    if c.kind in ("bod_u", "bod_e", "implies"):
         return CoreBound(k - 1, "paper") if k > 1 else CoreBound(k, "paper")
-    if isinstance(c, GlobalCardConstraint):
+    if c.kind == "global_card":
         if c.cmp == "<=":
             return CoreBound(k, "paper")
         # Lower-bounded team sizes: k teams of at most t required users each,
         # plus up to k completeness representatives, stays below k * (t + 1).
         return CoreBound(k * (c.t + 1), "derived")
-    if isinstance(c, LocalCardConstraint):
+    if c.kind == "local_card":
         if c.cmp == "<=":
             return CoreBound(k, "paper")
         return CoreBound(2 * max(k, c.t), "paper")
-    if isinstance(c, (SmerConstraint, TeamSodConstraint)):
+    if c.kind in ("smer", "team_sod"):
         return CoreBound(k, "paper")
     raise TypeError(f"not a constraint: {c!r}")
 

@@ -177,3 +177,30 @@ def reference_serialize_relation(inst, A):
     """The relation writer as ``json.dumps(doc, indent=2)``: the bytes to match."""
     doc = {"format": "apep-relation", "version": 1, "relation": inst.relation_to_names(A)}
     return json.dumps(doc, indent=2) + "\n"
+
+
+def plan_breaks(wsp, plan):
+    """Whether a plan, or the first steps of one, assigns a step a user it
+    does not authorize, splits an equality pair or joins an inequality pair."""
+    m = len(plan)
+    return (
+        any(not wsp.auth[s] >> u & 1 for s, u in enumerate(plan))
+        or any(plan[a] != plan[b] for a, b in wsp.eq_pairs if a < m and b < m)
+        or any(plan[a] == plan[b] for a, b in wsp.neq_pairs if a < m and b < m)
+    )
+
+
+def naive_plan(wsp, plan=()):
+    """First plan in lexicographic order, or None: every authorized user is
+    tried for every step in turn, and a branch is cut once it breaks a tie."""
+    if plan_breaks(wsp, plan):
+        return None
+    if len(plan) == wsp.n_steps:
+        return plan
+    auth = wsp.auth[len(plan)]
+    for u in range(len(wsp.user_names)):
+        if auth >> u & 1:
+            found = naive_plan(wsp, plan + (u,))
+            if found is not None:
+                return found
+    return None

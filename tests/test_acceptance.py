@@ -98,8 +98,8 @@ def test_criterion_03_pattern_value_and_maximum():
     assert res is not None and res[1] == 7
 
     # the largest conflict-free resource set u3 can hold around {r3}
-    omega = _PatternContext(inst).tables_for(inst.base.rows[2])[0]
-    assert omega[1 << 2] == 2
+    choice = _PatternContext(inst).choice[inst.base.rows[2]]
+    assert choice[1 << 2].bit_count() == 2
 
     rep = max_sod_u(inst)
     best = brute_maximize(inst)

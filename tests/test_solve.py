@@ -4,11 +4,13 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
 import pytest
 
+import apep.solve
 from apep import (
     AuthorizationRelation,
     CapacityError,
@@ -19,10 +21,12 @@ from apep import (
     Pattern,
     SmerConstraint,
     TriviallyUnsat,
+    WspInstance,
     brute_decide,
     brute_maximize,
     build_index_family,
     check_valid,
+    default_user_names,
     dispatch,
     enumerate_eligible_patterns,
     indices_of,
@@ -39,7 +43,7 @@ from apep import (
     to_wsp,
 )
 from apep.cli import GenParams, generate, load_instance
-from helpers import FIXTURES, make, naive_decide
+from helpers import FIXTURES, make, naive_decide, naive_plan, plan_breaks
 
 
 # ---------------------------------------------------------------------------
@@ -521,6 +525,78 @@ def test_solve_wsp_empty_class_auth():
     assert solve_wsp(wsp) is None
 
 
+def test_solve_wsp_matches_plan_search_on_crowded_profiles():
+    # Users share one to three rows of steps, so most class profiles hold
+    # more users than there are classes: the case where the solver matches
+    # blocks to only some of each profile's users.
+    crowded = 0
+    for seed in range(150):
+        rng = random.Random(seed)
+        n = rng.randint(6, 30)
+        nc = rng.randint(1, 4)
+        step_class = list(range(nc)) + [rng.randrange(nc) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(step_class)
+        n_steps = len(step_class)
+        eq_pairs = []
+        for c in range(nc):
+            steps = [s for s in range(n_steps) if step_class[s] == c]
+            eq_pairs += zip(steps, steps[1:])
+        neq_pairs = [
+            (a, b)
+            for a in range(n_steps)
+            for b in range(a + 1, n_steps)
+            if step_class[a] != step_class[b] and rng.random() < 0.6
+        ]
+        profiles = [
+            sum(1 << s for s in range(n_steps) if rng.random() < 0.7)
+            for _ in range(rng.randint(1, 3))
+        ]
+        user_row = [rng.choice(profiles) for _ in range(n)]
+        wsp = WspInstance(
+            steps=tuple(f"s{s + 1}" for s in range(n_steps)),
+            user_names=default_user_names(n),
+            auth=tuple(
+                sum(1 << u for u in range(n) if user_row[u] >> s & 1) for s in range(n_steps)
+            ),
+            eq_pairs=tuple(eq_pairs),
+            neq_pairs=tuple(neq_pairs),
+            step_resource=tuple(range(n_steps)),
+        )
+        plan = solve_wsp(wsp)
+        assert (plan is None) == (naive_plan(wsp) is None), seed
+        if plan is not None:
+            assert len(plan) == n_steps and not plan_breaks(wsp, plan), seed
+        crowded += max(Counter(user_row).values()) > nc
+    assert crowded >= 100
+
+
+def test_solve_wsp_matches_blocks_to_profiles_not_users(monkeypatch):
+    # 2 000 users over three distinct rows.  The rewrite has 3 step classes
+    # ({r1, r2} tied, r3, r4) and every class profile is fixed by the base
+    # row, so a matching needs at most 3 users of each of 3 profiles.
+    rows = (0b1111, 0b0011, 0b1100)
+    inst = make(
+        [rows[u % 3] for u in range(2000)],
+        4,
+        [
+            PairConstraint(0, 1, "iff", "exists"),
+            PairConstraint(0, 2, "xor", "forall"),
+            PairConstraint(1, 3, "xor", "forall"),
+        ],
+    )
+    widths = []
+    match = apep.solve.max_weight_row_saturating
+
+    def spy(weights):
+        widths.append(len(weights[0]))
+        return match(weights)
+
+    monkeypatch.setattr(apep.solve, "max_weight_row_saturating", spy)
+    rep = solve_bod_e_sod_u(inst)
+    assert rep.satisfiable and widths
+    assert max(widths) <= 3 * 3
+
+
 def test_solve_bod_e_sod_u_fixture():
     inst = load_instance(str(FIXTURES / "planning_mix_5x4.json"))
     rep = solve_bod_e_sod_u(inst)
@@ -613,7 +689,7 @@ inst = Instance.create(
     [PairConstraint(0, 1, "xor", "forall")],
 )
 full = AuthorizationRelation.full(inst.n, inst.k)
-_PatternContext.evaluate = lambda self, pattern: (full, full.size)
+_PatternContext.witness = lambda self, pattern, users: full
 try:
     report = dispatch(inst, "max")
 except AssertionError as e:
