@@ -8,10 +8,11 @@ report.  The exponential parts are parameterized by the resource count k
 from __future__ import annotations
 
 import functools
+import heapq
 import time
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from itertools import combinations, islice, repeat
+from itertools import combinations, islice
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .matching import max_weight_row_saturating
@@ -47,7 +48,10 @@ class SolveReport:
 
     ``max_size`` is filled by routes that compute the maximum solution size;
     decision-only routes leave it None.  ``counters`` carries route-specific
-    work measures: patterns_explored, users_removed, dp_states.
+    entries: ``patterns_explored`` (the sod_u and planning routes),
+    ``dp_states`` (sod_e), ``users_removed`` (the kernel route), ``steps``
+    (the planning route's step count) and ``reason`` (why the merge or kernel
+    route found the instance unsatisfiable).
     """
 
     algorithm: str
@@ -223,37 +227,53 @@ def _conflict_pairs(inst: Instance) -> list[tuple[int, int]]:
     return [(c.r, c.r2) for c in inst.constraints if c.kind == "sod_u"]
 
 
-def _profile_pool(rows: Sequence[int], limit: int) -> list[tuple[int, list[int]]]:
-    """Each distinct row, ascending, with its ``limit`` lowest-index users.
+class _BlockMatcher:
+    """Gives the blocks of a pattern distinct users, maximizing the summed
+    ``weight(block, row)`` of the users' rows; None marks a user who cannot
+    take a block.
 
-    Users with equal rows are interchangeable to a matcher, so the pool
-    serves every pattern of at most ``limit`` blocks as well as all users do.
+    Each block keeps, built on first use, its ``limit`` users of highest
+    weight (lower user index first among equals).  A pattern of d <= limit
+    blocks is matched over the union of its blocks' lists only, which is
+    exact by exchange: were block b matched to a user outside its list, the
+    other d - 1 blocks would hold at most d - 1 of b's list, so a free user
+    of that list weighs at least as much and can take b instead.
     """
-    users_of: dict[int, list[int]] = {}
-    for u, row in enumerate(rows):
-        users_of.setdefault(row, []).append(u)
-    return [(m, users_of[m][:limit]) for m in sorted(users_of)]
 
+    def __init__(self, rows: Sequence[int], limit: int, weight: Callable[[int, int], int | None]):
+        users_of: dict[int, list[int]] = {}
+        for u, row in enumerate(rows):
+            users_of.setdefault(row, []).append(u)
+        self.pool = [(row, users[:limit]) for row, users in users_of.items()]
+        self.rows, self.limit, self.weight = rows, limit, weight
+        self._top: dict[int, tuple[list[int], int | None]] = {}
 
-def _match_blocks(
-    pattern: Pattern,
-    pool: Sequence[tuple[int, Sequence[int]]],
-    weight: Callable[[int, int], int | None],
-) -> tuple[list[int], int] | None:
-    """Give each block a distinct pool user, maximizing the summed
-    ``weight(block, row)`` of the users' rows, None where a user cannot take
-    a block.  Returns the user of each block and the total, or None."""
-    users = [u for _, group in pool for u in group]
-    if len(pattern.blocks) > len(users):
-        return None
-    weights = [
-        [w for m, group in pool for w in repeat(weight(block, m), len(group))]
-        for block in pattern.blocks
-    ]
-    matched = max_weight_row_saturating(weights)
-    if matched is None:
-        return None
-    return [users[c] for c in matched[0]], matched[1]
+    def top(self, block: int) -> tuple[list[int], int | None]:
+        """The block's candidate users, best first, and the best weight
+        (None when no user can take the block)."""
+        if block not in self._top:
+            ranked = heapq.nsmallest(self.limit, (
+                (-w, u) for row, users in self.pool
+                if (w := self.weight(block, row)) is not None for u in users
+            ))
+            self._top[block] = ([u for _, u in ranked], -ranked[0][0] if ranked else None)
+        return self._top[block]
+
+    def bound(self, pattern: Pattern) -> int | None:
+        """Sum of each block's best weight, at least the matched total, or
+        None when some block has no user."""
+        tops = [self.top(block)[1] for block in pattern.blocks]
+        return None if None in tops else sum(tops)
+
+    def match(self, pattern: Pattern) -> tuple[list[int], int] | None:
+        """The user of each block and the total weight, or None."""
+        blocks = pattern.blocks
+        users = sorted({u for block in blocks for u in self.top(block)[0]})
+        if len(users) < len(blocks):
+            return None
+        weight, rows = self.weight, self.rows
+        matched = max_weight_row_saturating([[weight(b, rows[u]) for u in users] for b in blocks])
+        return None if matched is None else ([users[c] for c in matched[0]], matched[1])
 
 
 class _PatternContext:
@@ -267,6 +287,12 @@ class _PatternContext:
     block T gains ``gain[m][T] = omega[T] - omega[0]`` (None when omega[T]
     is -1).  A pattern's value is ``base_total`` plus the gain of a best
     matching of its blocks to users, and only the winner's relation is built.
+
+    ``matcher`` weighs a block for a user by ``gain[m][block]`` and keeps k
+    users per block, enough for any pattern by the exchange argument of
+    :class:`_BlockMatcher`.  Its ``bound`` plus ``base_total`` is at least
+    the pattern's value, so a pattern whose bound cannot beat the best value
+    so far needs no matching.
     """
 
     def __init__(self, inst: Instance):
@@ -300,13 +326,13 @@ class _PatternContext:
             self.gain[m] = [None if w < 0 else w - omega[0] for w in omega]
             self.choice[m] = choice
             self.base_total += omega[0] * count
-        self.pool = _profile_pool(inst.base.rows, k)
+        gain = self.gain
+        self.matcher = _BlockMatcher(inst.base.rows, k, lambda block, m: gain[m][block])
 
     def value(self, pattern: Pattern) -> tuple[list[int], int] | None:
         """The block users of a best realization of the pattern and its
         size, or None when the pattern cannot be realized."""
-        gain = self.gain
-        matched = _match_blocks(pattern, self.pool, lambda block, m: gain[m][block])
+        matched = self.matcher.match(pattern)
         return None if matched is None else (matched[0], self.base_total + matched[1])
 
     def witness(self, pattern: Pattern, users: Sequence[int]) -> AuthorizationRelation:
@@ -355,13 +381,17 @@ def max_sod_u(inst: Instance) -> SolveReport:
 
     Sweeps eligible patterns and keeps the best realizable one.  Every valid
     relation refines some eligible pattern, so the best pattern value is the
-    maximum solution size.
+    maximum solution size.  A pattern whose bound cannot strictly beat the
+    best value so far is not matched, so the first best pattern still wins.
     """
     ctx = _PatternContext(inst)
     best: tuple[Pattern, list[int], int] | None = None
     explored = 0
     for pattern in enumerate_eligible_patterns(inst.k, _conflict_pairs(inst)):
         explored += 1
+        bound = ctx.matcher.bound(pattern)
+        if bound is None or best is not None and ctx.base_total + bound <= best[2]:
+            continue
         res = ctx.value(pattern)
         if res is not None and (best is None or res[1] > best[2]):
             best = (pattern, *res)
@@ -747,15 +777,13 @@ def solve_wsp(
         return None
 
     # A user can serve a block when their row of classes holds it; a
-    # pattern has at most nc blocks, so nc users of each row suffice.
+    # pattern has at most nc blocks, so nc users of each block suffice.
     rows = AuthorizationRelation.from_cols(n_users, nc, class_auth).rows
-    pool = _profile_pool(rows, nc)
+    matcher = _BlockMatcher(rows, nc, lambda block, row: None if block & ~row else 0)
     explored = 0
     for pattern in enumerate_eligible_patterns(nc, sorted(conflicts)):
         explored += 1
-        matched = _match_blocks(
-            pattern, pool, lambda block, row: None if block & ~row else 0
-        )
+        matched = None if matcher.bound(pattern) is None else matcher.match(pattern)
         if matched is None:
             continue
         if stats is not None:

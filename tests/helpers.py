@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import json
 import operator
-from itertools import product
+from functools import cache
+from itertools import combinations, product
 from pathlib import Path
 
 from apep import (
@@ -25,6 +26,7 @@ from apep import (
     default_user_names,
 )
 from apep.cli import _constraint_record
+from apep.matching import max_weight_row_saturating
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -204,3 +206,41 @@ def naive_plan(wsp, plan=()):
             if found is not None:
                 return found
     return None
+
+
+def reference_pattern_valuer(inst):
+    """A function giving the best size of a valid relation refining a
+    pattern of the universal-xor instance, or None: every user is a matching
+    column, with no cut of the candidates and no bound.
+
+    A user keeps the largest set of their resources that holds no separated
+    pair; serving block T, they keep the largest such set that contains T.
+    """
+    k, rows = inst.k, inst.base.rows
+    pairs = [(c.r, c.r2) for c in inst.constraints]
+
+    @cache
+    def largest(row, block):
+        held = [r for r in range(k) if row >> r & 1]
+        needed = [r for r in range(k) if block >> r & 1]
+        for size in range(len(held), -1, -1):
+            for combo in combinations(held, size):
+                chosen = set(combo)
+                if all(r in chosen for r in needed) and not any(
+                    a in chosen and b in chosen for a, b in pairs
+                ):
+                    return size
+        return None
+
+    def value(pattern):
+        if len(pattern.blocks) > len(rows):
+            return None
+        weights = [
+            [None if largest(row, block) is None else largest(row, block) - largest(row, 0)
+             for row in rows]
+            for block in pattern.blocks
+        ]
+        matched = max_weight_row_saturating(weights)
+        return None if matched is None else sum(largest(row, 0) for row in rows) + matched[1]
+
+    return value

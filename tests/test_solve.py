@@ -43,7 +43,15 @@ from apep import (
     to_wsp,
 )
 from apep.cli import GenParams, generate, load_instance
-from helpers import FIXTURES, make, naive_decide, naive_plan, plan_breaks
+from apep.solve import _conflict_pairs, _PatternContext
+from helpers import (
+    FIXTURES,
+    make,
+    naive_decide,
+    naive_plan,
+    plan_breaks,
+    reference_pattern_valuer,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +190,53 @@ def test_max_sod_u_invariant_under_user_renaming():
             inst.users, inst.resources, inst.base.permute_users(sigma), inst.constraints
         )
         assert max_sod_u(renamed).max_size == max_sod_u(inst).max_size
+
+
+def test_pattern_values_match_full_pool_reference():
+    # Dense rows over few resources crowd each profile with more users than
+    # there are resources, and users of a profile tie on every block: the
+    # case where the matcher keeps only some users of each block.  Every
+    # eligible pattern is valued against a matching over all users, and a
+    # sweep with no bound must find the maximum and count the patterns that
+    # max_sod_u reports.
+    crowded = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        k = 2 + seed % 6
+        n = rng.randint(20, 120)
+        pairs = rng.randint(1, min(k * (k - 1) // 2, k + 2))
+        inst = generate(GenParams(n=n, k=k, seed=seed, sodu=pairs, density=0.9))
+        ctx, reference = _PatternContext(inst), reference_pattern_valuer(inst)
+        best, explored = None, 0
+        for pattern in enumerate_eligible_patterns(k, _conflict_pairs(inst)):
+            explored += 1
+            want = reference(pattern)
+            got = ctx.value(pattern)
+            assert (None if got is None else got[1]) == want, (seed, pattern)
+            if want is not None and (best is None or want > best):
+                best = want
+        rep = max_sod_u(inst)
+        assert rep.max_size == best and rep.counters["patterns_explored"] == explored, seed
+        crowded += max(Counter(inst.base.rows).values()) > k
+    assert crowded >= 200
+
+
+def test_max_sod_u_cost_does_not_grow_with_users(monkeypatch):
+    # n = 1 000 users over k = 10 resources: every matching gets at most k
+    # users per block, whatever n is.
+    inst = generate(GenParams(n=1000, k=10, seed=1, sodu=3))
+    widths = []
+    match = apep.solve.max_weight_row_saturating
+
+    def spy(weights):
+        widths.append(len(weights[0]) / len(weights))
+        return match(weights)
+
+    monkeypatch.setattr(apep.solve, "max_weight_row_saturating", spy)
+    rep = dispatch(inst, "max")
+    assert rep.max_size == 4420 and rep.counters["patterns_explored"] == 64077
+    assert widths and max(widths) <= inst.k
+    assert rep.wall_time < 5.0
 
 
 # ---------------------------------------------------------------------------
