@@ -16,14 +16,15 @@ import io
 import json
 import random
 import sys
-from dataclasses import dataclass, fields
-from itertools import combinations, compress, repeat
+from dataclasses import MISSING, dataclass, fields
+from itertools import combinations, compress, islice, repeat
 from json.encoder import encode_basestring_ascii
 from operator import add
 from pathlib import Path
 from typing import Sequence
 
 from .model import (
+    _PAIR_KINDS,
     AuthorizationRelation,
     Constraint,
     GlobalCardConstraint,
@@ -289,11 +290,14 @@ def load_relation(path: str, inst: Instance) -> AuthorizationRelation:
 
 @dataclass(frozen=True)
 class GenParams:
-    """Knobs for seeded random instances.
+    """Knobs for seeded random instances; each field is a flag of ``apep gen``.
 
-    Pair constraint counts draw distinct resource pairs without replacement
-    across all pair species, so requesting more than k*(k-1)/2 in total is
-    an error.  Thresholds are drawn from [t_min, t_max].
+    ``n`` users and ``k`` resources, each base cell set with probability
+    ``density``.  The counts are per constraint species; the pair species
+    (``bodu`` to ``implies``) are those of ``model._PAIR_KINDS``, drawn in
+    its order.  Pair constraint counts draw distinct resource pairs without
+    replacement across all pair species, so requesting more than k*(k-1)/2
+    in total is an error.  Thresholds are drawn from [t_min, t_max].
     """
 
     n: int
@@ -340,32 +344,21 @@ def generate(params: GenParams) -> Instance:
                 if rng.random() < params.density:
                     rows[u] |= 1 << r
 
-    total_pairs = params.bodu + params.bode + params.sodu + params.sode + params.implies
+    pair_counts = [getattr(params, kind.replace("_", "")) for kind in _PAIR_KINDS.values()]
+    total_pairs = sum(pair_counts)
     all_pairs = list(combinations(range(k), 2))
     if total_pairs > len(all_pairs):
         raise ValueError(
             f"requested {total_pairs} pair constraints but only "
             f"{len(all_pairs)} distinct resource pairs exist"
         )
-    drawn = rng.sample(all_pairs, total_pairs)
+    drawn = iter(rng.sample(all_pairs, total_pairs))
     constraints: list[Constraint] = []
-    cursor = 0
-    for count, op, quant in (
-        (params.bodu, "iff", "forall"),
-        (params.bode, "iff", "exists"),
-        (params.sodu, "xor", "forall"),
-        (params.sode, "xor", "exists"),
-    ):
-        for _ in range(count):
-            a, b = drawn[cursor]
-            cursor += 1
+    for (op, quant), count in zip(_PAIR_KINDS, pair_counts):
+        for a, b in islice(drawn, count):
+            if op == "implies" and rng.random() < 0.5:
+                a, b = b, a
             constraints.append(PairConstraint(a, b, op, quant))
-    for _ in range(params.implies):
-        a, b = drawn[cursor]
-        cursor += 1
-        if rng.random() < 0.5:
-            a, b = b, a
-        constraints.append(PairConstraint(a, b, "implies", "forall"))
 
     gcard_pool = [
         (cmp, t)
@@ -380,9 +373,32 @@ def generate(params: GenParams) -> Instance:
     for cmp, t in rng.sample(gcard_pool, params.gcard):
         constraints.append(GlobalCardConstraint(cmp, t))
 
-    constraints.extend(_draw_local_card(rng, params))
-    constraints.extend(_draw_smer(rng, params))
-    constraints.extend(_draw_team_sod(rng, params))
+    def local_card():
+        scope, cmp = rng.randrange(1, 1 << k), rng.choice(("<=", "=", ">="))
+        t = rng.randint(params.t_min, params.t_max)
+        return (scope, cmp, t), LocalCardConstraint(frozenset(indices_of(scope)), cmp, t)
+
+    def smer():
+        scope = rng.randrange(1, 1 << k)
+        if scope.bit_count() >= 2:
+            return scope, SmerConstraint(frozenset(indices_of(scope)))
+
+    def team_sod():
+        left = rng.randrange(1, 1 << k)
+        comp = ((1 << k) - 1) ^ left
+        if comp:
+            right = sum(1 << r for r in indices_of(comp) if rng.random() < 0.5)
+            right = right or 1 << rng.choice(indices_of(comp))
+            team = TeamSodConstraint(frozenset(indices_of(left)), frozenset(indices_of(right)))
+            return (min(left, right), max(left, right)), team
+
+    constraints += _distinct(params.lcard, local_card, "local cardinality constraints")
+    if params.smer and k < 2:
+        raise ValueError("mutual exclusion scopes need at least 2 resources")
+    constraints += _distinct(params.smer, smer, "mutual exclusion scopes")
+    if params.teamsod and k < 2:
+        raise ValueError("team separation needs at least 2 resources")
+    constraints += _distinct(params.teamsod, team_sod, "team separations")
 
     return Instance.create(
         users=default_user_names(n),
@@ -392,72 +408,22 @@ def generate(params: GenParams) -> Instance:
     )
 
 
-def _draw_local_card(rng: random.Random, params: GenParams) -> list[Constraint]:
-    out: list[Constraint] = []
-    seen = set()
-    attempts = 0
-    while len(out) < params.lcard:
-        attempts += 1
-        if attempts > 1000:
-            raise ValueError("could not draw enough distinct local cardinality constraints")
-        scope = rng.randrange(1, 1 << params.k)
-        cmp = rng.choice(("<=", "=", ">="))
-        t = rng.randint(params.t_min, params.t_max)
-        key = (scope, cmp, t)
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(LocalCardConstraint(frozenset(indices_of(scope)), cmp, t))
-    return out
+def _distinct(count: int, draw, what: str) -> list[Constraint]:
+    """``count`` constraints of distinct keys, in at most 1000 calls of ``draw``.
 
-
-def _draw_smer(rng: random.Random, params: GenParams) -> list[Constraint]:
-    if params.smer and params.k < 2:
-        raise ValueError("mutual exclusion scopes need at least 2 resources")
-    out: list[Constraint] = []
-    seen = set()
-    attempts = 0
-    while len(out) < params.smer:
-        attempts += 1
-        if attempts > 1000:
-            raise ValueError("could not draw enough distinct mutual exclusion scopes")
-        scope = rng.randrange(1, 1 << params.k)
-        if scope.bit_count() < 2 or scope in seen:
-            continue
-        seen.add(scope)
-        out.append(SmerConstraint(frozenset(indices_of(scope))))
-    return out
-
-
-def _draw_team_sod(rng: random.Random, params: GenParams) -> list[Constraint]:
-    if params.teamsod and params.k < 2:
-        raise ValueError("team separation needs at least 2 resources")
-    out: list[Constraint] = []
-    seen = set()
-    attempts = 0
-    full = (1 << params.k) - 1
-    while len(out) < params.teamsod:
-        attempts += 1
-        if attempts > 1000:
-            raise ValueError("could not draw enough distinct team separations")
-        left = rng.randrange(1, 1 << params.k)
-        comp = full ^ left
-        if comp == 0:
-            continue
-        right = 0
-        for r in indices_of(comp):
-            if rng.random() < 0.5:
-                right |= 1 << r
-        if right == 0:
-            right = 1 << rng.choice(indices_of(comp))
-        key = (min(left, right), max(left, right))
-        if key in seen:
-            continue
-        seen.add(key)
-        out.append(
-            TeamSodConstraint(frozenset(indices_of(left)), frozenset(indices_of(right)))
-        )
-    return out
+    ``draw()`` gives a key and its constraint, or None for a rejected draw;
+    the first draw of a key wins.
+    """
+    found: dict = {}
+    for _ in range(1000):
+        if len(found) == count:
+            break
+        drawn = draw()
+        if drawn is not None:
+            found.setdefault(*drawn)
+    if len(found) < count:
+        raise ValueError(f"could not draw enough distinct {what}")
+    return list(found.values())
 
 
 # ---------------------------------------------------------------------------
@@ -662,16 +628,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p_reduce.add_argument("--out", metavar="FILE")
     p_reduce.set_defaults(func=_cmd_reduce)
 
-    p_gen = sub.add_parser("gen", help="generate a seeded random instance")
-    p_gen.add_argument("--n", type=int, required=True, help="number of users")
-    p_gen.add_argument("--k", type=int, required=True, help="number of resources")
-    p_gen.add_argument("--density", type=float, default=0.5)
-    p_gen.add_argument("--seed", type=int, default=0)
-    for flag in ("bodu", "bode", "sodu", "sode", "implies",
-                 "gcard", "lcard", "smer", "teamsod"):
-        p_gen.add_argument(f"--{flag}", type=int, default=0, metavar="COUNT")
-    p_gen.add_argument("--t-min", dest="t_min", type=int, default=1)
-    p_gen.add_argument("--t-max", dest="t_max", type=int, default=3)
+    p_gen = sub.add_parser("gen", help="generate a seeded random instance",
+                           description="Each flag sets the GenParams field of its name.")
+    for f in fields(GenParams):
+        p_gen.add_argument(f"--{f.name.replace('_', '-')}", dest=f.name,
+                           type=float if f.type == "float" else int,
+                           required=f.default is MISSING, default=f.default)
     p_gen.add_argument("--out", metavar="FILE")
     p_gen.set_defaults(func=_cmd_gen)
 

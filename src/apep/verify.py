@@ -87,9 +87,9 @@ def bound_for(c: Constraint, k: int) -> CoreBound:
     """Core size bound contributed by a single constraint.
 
     Any valid relation has a core of at most this many users when the
-    instance carries only this constraint; bounds for a mix combine by
-    maximum.  The relation's completeness alone already forces a core of at
-    most k, which is also the floor used by :func:`instance_bound`.
+    instance carries only this constraint.  The relation's completeness
+    alone already forces a core of at most k.  For a mix of constraints use
+    :func:`instance_bound`.
     """
     c = normalize(c)
     if c.kind in ("sod_u", "sod_e"):
@@ -112,8 +112,29 @@ def bound_for(c: Constraint, k: int) -> CoreBound:
 
 
 def instance_bound(inst: Instance) -> int:
-    """Core size bound for a whole instance: max of k and per-constraint bounds."""
-    best = inst.k
-    for c in inst.constraints:
-        best = max(best, bound_for(c, inst.k).bound)
-    return best
+    """Core size bound for a whole instance, the ``f`` of the family rule.
+
+    f = k + #bod_e + sum of t over local ``=``/``>=`` cards + sum of k*t
+    over global ``=``/``>=`` cards, with t after normalization.
+
+    Proof.  A core user's removal breaks completeness, a ``sod_e`` pair (the
+    two columns differ in that user alone), a ``bod_e`` pair (the only
+    shared user) or a lower-bounded card; it never breaks ``bod_u``,
+    ``implies`` or the anti-monotone ``sod_u``, ``smer``, ``team_sod`` and
+    ``<=`` cards.  Completeness and ``sod_e`` give at most k core users:
+    join the empty set and the distinct columns (at most k + 1 sets) where
+    two differ in one user, and label the edge with that user.  A cycle
+    flips each user an even number of times, so each label is already on
+    a spanning-forest edge, and a forest has at most k edges.  A ``bod_e``
+    pair gives at most 1, a local card t and a global card t per resource.
+    So every valid relation has a core of at most f, and removing non-core
+    users one at a time leaves a valid relation of at most f users: the
+    family rule may keep f users of each family.
+    """
+    k = f = inst.k
+    for c in map(normalize, inst.constraints):
+        if c.kind == "bod_e":
+            f += 1
+        elif c.kind in ("local_card", "global_card") and c.cmp != "<=":
+            f += c.t if c.kind == "local_card" else k * c.t
+    return f

@@ -4,6 +4,8 @@ import csv
 import io
 import json
 import random
+import shlex
+from dataclasses import MISSING, fields
 
 import pytest
 
@@ -19,6 +21,7 @@ from apep import (
 from apep.cli import (
     GenParams,
     ParseError,
+    _build_parser,
     _report_json,
     generate,
     load_instance,
@@ -525,6 +528,38 @@ def test_main_gen(tmp_path, capsys):
     assert out_path.read_text(encoding="utf-8") == first
 
     assert main(["gen", "--n", "2", "--k", "2", "--bodu", "5"]) == 2
+    capsys.readouterr()
+
+
+def test_gen_flags_are_the_genparams_fields(capsys):
+    parser = _build_parser()
+    args = parser.parse_args(["gen", "--n", "5", "--k", "3"])
+    for f in fields(GenParams):
+        if f.default is not MISSING:
+            assert getattr(args, f.name) == f.default, f.name
+
+    values = {
+        f.name: 0.25 if f.type == "float" else 10 + i for i, f in enumerate(fields(GenParams))
+    }
+    argv = ["gen"]
+    for name, value in values.items():
+        argv += [f"--{name.replace('_', '-')}", str(value)]
+    args = parser.parse_args(argv)
+    assert {name: getattr(args, name) for name in values} == values
+
+    assert main(["gen", "--k", "3"]) == 2
+    assert main(["gen", "--n", "5"]) == 2
+    capsys.readouterr()
+
+
+def test_readme_gen_example_runs(tmp_path, monkeypatch, capsys):
+    readme = (FIXTURES.parent / "README.md").read_text(encoding="utf-8")
+    (line,) = [line for line in readme.splitlines() if line.startswith("apep gen ")]
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line)[1:]) == 0
+    inst = load_instance("instance.json")
+    assert (inst.n, inst.k) == (100, 4)
+    assert [constraint_kind(c) for c in inst.constraints] == ["sod_u", "sod_u"]
     capsys.readouterr()
 
 

@@ -2,7 +2,7 @@
 resiliency encoding."""
 
 import random
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
@@ -22,6 +22,7 @@ from apep import (
     eliminate_bod_u,
     encode_resiliency,
     from_wsp_plan,
+    instance_bound,
     lift_merged_classes,
     lift_removed_users,
     partition_families,
@@ -29,6 +30,7 @@ from apep import (
     to_wsp,
 )
 from apep.cli import GenParams, generate, load_instance
+from apep.solve import solve_bounded
 from helpers import FIXTURES, make, naive_decide
 
 
@@ -73,10 +75,91 @@ def test_reduction_preserves_decision_spot():
         inst = generate(
             GenParams(n=6, k=3, seed=seed, sodu=1, gcard=1, lcard=1, t_max=2)
         )
-        from apep import instance_bound
-
         reduced, trace = apply_reduction_rule(inst, instance_bound(inst))
         assert (brute_decide(inst) is None) == (brute_decide(reduced) is None), inst
+
+
+def _full(n, k, cons):
+    return make([(1 << k) - 1] * n, k, cons)
+
+
+def test_kernel_keeps_disjoint_teams_forced_by_cards():
+    # three disjoint teams of three: each card wants 3 users, team_sod keeps
+    # them apart, so all 9 users of the one family are needed
+    cons = [LocalCardConstraint({r}, ">=", 3) for r in range(3)]
+    cons += [TeamSodConstraint({a}, {b}) for a, b in combinations(range(3), 2)]
+    inst = _full(9, 3, cons)
+    assert instance_bound(inst) == 12
+    report = dispatch(inst, "decide")
+    assert report.algorithm == "bounded_kernel" and report.satisfiable
+    assert check_valid(inst, report.witness).valid
+
+
+def test_kernel_keeps_one_user_per_bod_e_pair():
+    # bod_e on all six pairs of four resources and smer on every triple: each
+    # user holds at most one pair, so all 6 users are needed
+    cons = [PairConstraint(a, b, "iff", "exists") for a, b in combinations(range(4), 2)]
+    cons += [SmerConstraint(set(s)) for s in combinations(range(4), 3)]
+    inst = _full(6, 4, cons)
+    assert instance_bound(inst) == 10
+    report = dispatch(inst, "decide")
+    assert report.algorithm == "bounded_kernel" and report.satisfiable
+    assert check_valid(inst, report.witness).valid
+    assert brute_decide(inst) is not None
+
+
+def _kernel_gadgets():
+    """Instances whose valid relations need many users of one family."""
+    for k, t, cmp in product((2, 3), (1, 2, 3, 4), (">=", "=")):
+        pairs = list(combinations(range(k), 2))
+        for seps, cards in product(
+            ([TeamSodConstraint({a}, {b}) for a, b in pairs], [SmerConstraint(p) for p in pairs]),
+            ([LocalCardConstraint({r}, cmp, t) for r in range(k)], [GlobalCardConstraint(cmp, t)]),
+        ):
+            for n in range(max(1, k * t - 1), min(k * t + 1, 18 // k) + 1):
+                yield _full(n, k, cards + seps)
+    smer_triples = [SmerConstraint(set(s)) for s in combinations(range(4), 3)]
+    for p in (3, 4, 5):
+        for pairs in combinations(combinations(range(4), 2), p):
+            bode = [PairConstraint(a, b, "iff", "exists") for a, b in pairs]
+            for n in (p - 1, p):
+                yield _full(n, 4, bode + smer_triples)
+
+
+def _family_heavy_mixes(count):
+    """Random mixes over at most three base rows, one of them full: large families."""
+    rng = random.Random(5)
+    for _ in range(count):
+        k = rng.choice((2, 3, 4))
+        full = (1 << k) - 1
+        rows = [full, *(rng.randrange(1, full + 1) for _ in range(rng.randint(0, 2)))]
+        cons = []
+        for _ in range(rng.randint(1, 4)):
+            a, b = rng.sample(range(k), 2)
+            cmp, t = rng.choice(("<=", "=", ">=")), rng.randint(1, 3)
+            cons.append(rng.choice((
+                PairConstraint(a, b, rng.choice(("iff", "xor", "implies")),
+                               rng.choice(("forall", "exists"))),
+                LocalCardConstraint(set(rng.sample(range(k), rng.randint(1, k))), cmp, t),
+                GlobalCardConstraint(cmp, t),
+                SmerConstraint({a, b}),
+                TeamSodConstraint({a}, {b}),
+            )))
+        n = rng.randint(2, 18 // k)
+        yield make([full] + [rng.choice(rows) for _ in range(n - 1)], k, cons)
+
+
+def test_kernel_route_matches_brute_on_gadgets_and_family_heavy_mixes():
+    instances = [*_kernel_gadgets(), *_family_heavy_mixes(200)]
+    assert len(instances) >= 300
+    fired = 0
+    for inst in instances:
+        report = solve_bounded(inst)
+        fired += report.counters.get("users_removed", 0) > 0
+        assert report.satisfiable == (brute_decide(inst) is not None), inst
+        if report.satisfiable:
+            assert check_valid(inst, report.witness).valid
+    assert fired >= 30
 
 
 def test_lift_removed_users():

@@ -134,7 +134,7 @@ def test_bound_provenance_values():
 
 def test_instance_bound():
     inst = make([0b111], 3, [LocalCardConstraint({0, 1}, "=", 7)])
-    assert instance_bound(inst) == 14
+    assert instance_bound(inst) == 10
     # the completeness floor k applies with no constraints at all
     assert instance_bound(make([0b111, 0b111], 3)) == 3
     fig = load_instance(str(FIXTURES / "distinct_teams_8x3.json"))
