@@ -436,7 +436,7 @@ _ALGOS = ("auto", *_ROUTE_OF)
 
 def _run_algo(inst: Instance, algo: str, mode: str, budget: int) -> SolveReport:
     if algo == "auto":
-        return dispatch(inst, mode)
+        return dispatch(inst, mode, budget)
     route = _ROUTE_OF[algo]
     if mode not in route.modes:
         raise ValueError(f"the {algo} route answers mode {'/'.join(route.modes)} only")
@@ -611,7 +611,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--out", metavar="FILE", help="write the witness relation here")
     p_solve.add_argument("--json", action="store_true", help="machine readable report")
     p_solve.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
-                         help="candidate budget for the brute algorithm")
+                         help="candidate budget for the brute algorithm, "
+                              "also under auto when it falls back to it")
     p_solve.set_defaults(func=_cmd_solve)
 
     p_verify = sub.add_parser("verify", help="check a relation against an instance")

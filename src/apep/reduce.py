@@ -1,9 +1,9 @@
 """Instance reductions: user kernelization, resource merging, rewritings.
 
 Every reduction returns a trace alongside the reduced instance.  Traces are
-replayable (``replay_trace`` rebuilds the reduced instance from the original
-deterministically) and support lifting witnesses found on the reduced
-instance back to the original one.
+replayable (``replay_trace`` reruns the reductions they record on the original
+and rejects a trace that does not match) and support lifting witnesses found
+on the reduced instance back to the original one.
 """
 
 from __future__ import annotations
@@ -85,23 +85,20 @@ def apply_reduction_rule(inst: Instance, f: int) -> tuple[Instance, ReductionTra
         raise ValueError(
             f"f={f} is below the instance core bound {instance_bound(inst)}"
         )
-    fp = partition_families(inst)
-    removed: list[int] = []
-    for mask, members in zip(fp.masks, fp.members):
-        if len(members) > f:
-            overflow = len(members) - f
-            removed.extend(members[: -overflow - 1 : -1])
-
-    removed_names = tuple(inst.users[u] for u in removed)
+    removed = [u for members in partition_families(inst).members for u in reversed(members[f:])]
     gone = set(removed)
-    keep = [u for u in range(inst.n) if u not in gone]
-    reduced = Instance.create(
+    reduced = _keep_users(inst, [u for u in range(inst.n) if u not in gone])
+    return reduced, ReductionTrace(removed_users=tuple(inst.users[u] for u in removed))
+
+
+def _keep_users(inst: Instance, keep: list[int]) -> Instance:
+    """``inst`` restricted to the user ids ``keep``, in that order."""
+    return Instance.create(
         users=[inst.users[u] for u in keep],
         resources=inst.resources,
         base=inst.base.restrict_users(keep),
         constraints=inst.constraints,
     )
-    return reduced, ReductionTrace(removed_users=removed_names)
 
 
 def lift_removed_users(
@@ -153,22 +150,21 @@ def eliminate_bod_u(
         if c.kind == "bod_u":
             dsu.union(c.r, c.r2)
 
+    # Roots are class minima, so each class lists its representative first
+    # and the classes come in representative order.
     by_root: dict[int, list[int]] = {}
     for r in range(inst.k):
         by_root.setdefault(dsu.find(r), []).append(r)
-    reps = sorted(by_root)
-    class_pos = {}
-    for pos, root in enumerate(reps):
-        for r in by_root[root]:
-            class_pos[r] = pos
+    classes = list(by_root.values())
+    class_pos = {r: pos for pos, members in enumerate(classes) for r in members}
 
     cols = []
-    for root in reps:
+    for members in classes:
         inter = -1
-        for r in by_root[root]:
+        for r in members:
             inter &= inst.base.cols[r]
         if inter == 0:
-            names = ", ".join(inst.resources[r] for r in by_root[root])
+            names = ", ".join(inst.resources[r] for r in members)
             return TriviallyUnsat(f"no user is permitted all of: {names}")
         cols.append(inter)
 
@@ -182,7 +178,7 @@ def eliminate_bod_u(
         a, b = class_pos[c.r], class_pos[c.r2]
         if a == b:
             if c.kind in ("sod_u", "sod_e"):
-                name = inst.resources[reps[a]]
+                name = inst.resources[classes[a][0]]
                 return TriviallyUnsat(
                     f"constraint {idx} separates resources merged into {name}"
                 )
@@ -199,68 +195,46 @@ def eliminate_bod_u(
 
     reduced = Instance.create(
         users=inst.users,
-        resources=[inst.resources[root] for root in reps],
-        base=AuthorizationRelation.from_cols(inst.n, len(reps), cols),
+        resources=[inst.resources[members[0]] for members in classes],
+        base=AuthorizationRelation.from_cols(inst.n, len(classes), cols),
         constraints=lifted,
     )
-    classes = tuple(
-        tuple([inst.resources[root]] + [inst.resources[r] for r in by_root[root] if r != root])
-        for root in reps
-    )
-    return reduced, ReductionTrace(
-        resource_classes=classes, constraint_rewrites=tuple(rewrites)
-    )
-
-
-def _class_positions(trace: ReductionTrace) -> dict[str, int]:
-    """Resource name to the position of its merged class in the trace."""
-    return {name: pos for pos, names in enumerate(trace.resource_classes) for name in names}
+    names = tuple(tuple(inst.resources[r] for r in members) for members in classes)
+    return reduced, ReductionTrace(resource_classes=names, constraint_rewrites=tuple(rewrites))
 
 
 def lift_merged_classes(
     original: Instance, trace: ReductionTrace, A: AuthorizationRelation
 ) -> AuthorizationRelation:
     """Expand a relation over merged representatives to all class members."""
-    pos_of = _class_positions(trace)
+    pos_of = {name: pos for pos, names in enumerate(trace.resource_classes) for name in names}
     cols = [A.cols[pos_of[name]] for name in original.resources]
     return AuthorizationRelation.from_cols(original.n, original.k, cols)
 
 
 def replay_trace(inst: Instance, trace: ReductionTrace) -> Instance:
-    """Rebuild the reduced instance a trace describes, for auditability."""
+    """Rerun the reductions a trace records on ``inst``, for auditability.
+
+    A recorded merge is rerun by ``eliminate_bod_u``, whose classes and
+    rewrites must equal the recorded ones; the recorded users are then
+    dropped.  Raises ``ValueError`` when the trace does not describe a
+    reduction of ``inst``.
+    """
     current = inst
-    if trace.resource_classes:
-        pos_of = _class_positions(trace)
-        cols = [-1] * len(trace.resource_classes)
-        for r, name in enumerate(current.resources):
-            cols[pos_of[name]] &= current.base.cols[r]
-        actions = dict(trace.constraint_rewrites)
-        new_cons: list[tuple[int, Constraint]] = []
-        for idx, c in enumerate(current.constraints):
-            action = actions.get(idx, "")
-            if not action.startswith("lifted:"):
-                continue
-            nc = replace(
-                c, r=pos_of[current.resources[c.r]], r2=pos_of[current.resources[c.r2]]
-            ).normalized()
-            new_cons.append((int(action.split(":", 1)[1]), nc))
-        new_cons.sort()
-        current = Instance.create(
-            users=current.users,
-            resources=[names[0] for names in trace.resource_classes],
-            base=AuthorizationRelation.from_cols(current.n, len(cols), cols),
-            constraints=[c for _, c in new_cons],
-        )
-    if trace.removed_users:
-        gone = set(trace.removed_users)
-        keep = [u for u in range(current.n) if current.users[u] not in gone]
-        current = Instance.create(
-            users=[current.users[u] for u in keep],
-            resources=current.resources,
-            base=current.base.restrict_users(keep),
-            constraints=current.constraints,
-        )
-    return current
+    if trace.resource_classes or trace.constraint_rewrites:
+        res = eliminate_bod_u(inst)
+        if isinstance(res, TriviallyUnsat):
+            raise ValueError(f"the trace merges an instance with no merge: {res.reason}")
+        current, merge = res
+        if merge.resource_classes != trace.resource_classes:
+            raise ValueError("the trace's resource classes are not the instance's merge classes")
+        if merge.constraint_rewrites != trace.constraint_rewrites:
+            raise ValueError("the trace's constraint rewrites are not those of the merge")
+    gone = set(trace.removed_users)
+    unknown = gone - current.user_index.keys()
+    if unknown:
+        raise ValueError(f"the trace removes unknown users: {', '.join(sorted(unknown))}")
+    return _keep_users(current, [u for u, name in enumerate(current.users) if name not in gone])
 
 
 # ---------------------------------------------------------------------------

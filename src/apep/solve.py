@@ -850,12 +850,12 @@ ROUTES: tuple[Route, ...] = (
 )
 
 
-def dispatch(inst: Instance, mode: str = "decide") -> SolveReport:
+def dispatch(inst: Instance, mode: str = "decide", budget: int = DEFAULT_BUDGET) -> SolveReport:
     """Route an instance to the most specific applicable algorithm.
 
     Decision instances with arbitrary species mixes go through the kernel
     route; maximization falls back to exhaustive search when no specialized
-    route applies, guarded by the search budget.
+    route applies, guarded by the search ``budget``.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}")
@@ -864,7 +864,7 @@ def dispatch(inst: Instance, mode: str = "decide") -> SolveReport:
     if route is not _brute_force:
         return route(inst)
     try:
-        return route(inst, mode)
+        return route(inst, mode, budget)
     except CapacityError as e:
         raise CapacityError(
             f"{e}; maximization over this constraint mix has no reduced route, "

@@ -405,6 +405,12 @@ def test_main_solve_capacity(tmp_path, capsys):
     path = write_instance(tmp_path, inst)
     assert main(["solve", "--in", path, "--algo", "brute", "--budget", "8"]) == 3
     assert "error:" in capsys.readouterr().err
+    # auto falls back to the brute search here, which --budget bounds too
+    inst = make([0b11] * 3, 2, [PairConstraint(0, 1, "xor", "forall"), SmerConstraint({0, 1})])
+    path = write_instance(tmp_path, inst, "mix.json")
+    assert main(["solve", "--in", path, "--mode", "max"]) == 0
+    assert main(["solve", "--in", path, "--mode", "max", "--budget", "16"]) == 3
+    assert "exceeds budget 16" in capsys.readouterr().err
 
 
 def test_main_input_errors(tmp_path, capsys):

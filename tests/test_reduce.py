@@ -1,7 +1,9 @@
 """Reductions: family truncation, resource merging, planning rewrite,
 resiliency encoding."""
 
+import hashlib
 import random
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -12,6 +14,7 @@ from apep import (
     Instance,
     LocalCardConstraint,
     PairConstraint,
+    ReductionTrace,
     SmerConstraint,
     TeamSodConstraint,
     TriviallyUnsat,
@@ -29,7 +32,7 @@ from apep import (
     replay_trace,
     to_wsp,
 )
-from apep.cli import GenParams, generate, load_instance
+from apep.cli import GenParams, generate, load_instance, serialize_instance
 from apep.solve import solve_bounded
 from helpers import FIXTURES, make, naive_decide
 
@@ -270,20 +273,83 @@ def test_lift_merged_classes_expands():
     assert check_valid(inst, witness).valid
 
 
+PAIR_SPECIES = ("bodu", "bode", "sodu", "sode", "implies")
+REDUCTIONS_SHA256 = "15ac0ca39aeeaf7cc90eaad797b806e8d70ac54f3ef12f31a8b6049e1ef97d98"
+
+
+def _pair_mixes(count: int):
+    """``count`` seeded pair-only ``GenParams`` over every pair species."""
+    rng = random.Random(19)
+    for seed in range(count):
+        k = rng.randint(1, 7)
+        room = k * (k - 1) // 2
+        counts = {}
+        for name in rng.sample(PAIR_SPECIES, len(PAIR_SPECIES)):
+            counts[name] = rng.randint(0, min(3, room))
+            room -= counts[name]
+        yield GenParams(n=rng.randint(1, 40), k=k, seed=seed,
+                        density=rng.choice((0.3, 0.6, 0.9, 1.0)), **counts)
+
+
 def test_replay_trace_rebuilds_reduced_instance():
-    for seed in range(40):
-        inst = generate(
-            GenParams(n=5, k=4, seed=seed, bodu=2, bode=1, sodu=1, density=0.7)
-        )
+    # Merge, then truncate families at f = bound + 0..2; every replay,
+    # alone and combined, rebuilds the reduced instance.  The digest pins
+    # what both reductions output, constraint order and trace labels
+    # included.
+    h = hashlib.sha256()
+    merged = 0
+    for params in _pair_mixes(1200):
+        inst = generate(params)
         res = eliminate_bod_u(inst)
         if isinstance(res, TriviallyUnsat):
-            continue
-        reduced, trace = res
-        assert replay_trace(inst, trace) == reduced
+            h.update(f"unsat {res.reason}\n".encode())
+            work, merge_trace = inst, ReductionTrace()
+        else:
+            work, merge_trace = res
+            merged += 1
+            h.update(f"{serialize_instance(work)}{merge_trace!r}\n".encode())
+            assert replay_trace(inst, merge_trace) == work
+        for f in range(instance_bound(work), instance_bound(work) + 3):
+            kernel, kernel_trace = apply_reduction_rule(work, f)
+            h.update(f"{f} {serialize_instance(kernel)}{kernel_trace!r}\n".encode())
+            assert replay_trace(work, kernel_trace) == kernel
+            if work is not inst:
+                both = replace(merge_trace, removed_users=kernel_trace.removed_users)
+                assert replay_trace(inst, both) == kernel
+    assert merged >= 800
+    assert h.hexdigest() == REDUCTIONS_SHA256
 
     inst = load_instance(str(FIXTURES / "distinct_teams_8x3.json"))
     reduced, trace = apply_reduction_rule(inst, 3)
     assert replay_trace(inst, trace) == reduced
+
+
+def test_replay_trace_rejects_traces_of_other_reductions():
+    inst = make(
+        [0b111, 0b111],
+        3,
+        [PairConstraint(0, 1, "iff", "forall"), PairConstraint(1, 2, "iff", "exists")],
+    )
+    reduced, trace = eliminate_bod_u(inst)
+    assert replay_trace(inst, trace) == reduced
+    bad_traces = [
+        # a false rewrite: the iff/exists pair is lifted, not dropped
+        replace(trace, constraint_rewrites=((0, "class-edge"), (1, "dropped"))),
+        # a class left out, one with an unknown resource, and classes that
+        # merge resources no iff/forall constraint ties
+        replace(trace, resource_classes=(("r1", "r2"),)),
+        replace(trace, resource_classes=(("r1", "r2"), ("r9",))),
+        replace(trace, resource_classes=(("r1", "r2", "r3"),)),
+        # a removed user the instance does not have
+        replace(trace, removed_users=("u9",)),
+    ]
+    for bad in bad_traces:
+        with pytest.raises(ValueError):
+            replay_trace(inst, bad)
+    # a merge trace replayed on an instance whose merge is unsatisfiable
+    unsat = make([0b01, 0b10], 2, [PairConstraint(0, 1, "iff", "forall")])
+    with pytest.raises(ValueError, match="no merge"):
+        replay_trace(unsat, ReductionTrace(resource_classes=(("r1", "r2"),)))
 
 
 def test_merge_preserves_decision_spot():

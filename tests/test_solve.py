@@ -727,6 +727,11 @@ def test_dispatch_maximize_capacity_guidance():
     with pytest.raises(CapacityError) as err:
         dispatch(inst, "max")
     assert "mode=decide" in str(err.value)
+    # the fallback searches within the budget it is given
+    small = make([0b11] * 3, 2, [PairConstraint(0, 1, "xor", "forall"), SmerConstraint({0, 1})])
+    assert dispatch(small, "max").algorithm == "brute_force"
+    with pytest.raises(CapacityError):
+        dispatch(small, "max", budget=16)
 
 
 def test_dispatch_checks_witnesses_under_optimize():
